@@ -1,29 +1,36 @@
 // Distributed deployment demo: the protocol over real TCP sockets with
 // authenticated encryption on every ring link (DH handshake + ChaCha20 +
-// HMAC), one thread per participant to emulate one process per
-// organization.
+// HMAC), one NodeService per organization in one process.
 //
-// This is the deployment-shaped path: the same DistributedParticipant
-// drives production processes; only the address book changes.
+// This is the deployment-shaped path: `privtopk node` runs exactly this
+// NodeService, one per process; only the address book changes.  The first
+// node on the ring initiates, every other node waits for the disseminated
+// result.
 
 #include <cstdio>
-#include <future>
 #include <numeric>
 
 #include "net/tcp.hpp"
-#include "protocol/engine.hpp"
+#include "query/service.hpp"
 
 using namespace privtopk;
+using namespace std::chrono_literals;
 
 int main() {
   constexpr std::size_t kParties = 5;
-  constexpr std::size_t kTopK = 3;
 
-  // Private inputs (already reduced to local top-k by each party).
-  const std::vector<TopKVector> locals = {
+  // Each organization's private revenue column.
+  const std::vector<std::vector<Value>> revenues = {
       {8120, 7300, 100}, {9050, 2200, 90}, {8800, 8790, 4000},
       {6100, 5900, 5800}, {9925, 300, 200},
   };
+  const data::Schema schema({{"revenue", data::ColumnType::Int}});
+  std::vector<data::PrivateDatabase> dbs(kParties);
+  for (std::size_t i = 0; i < kParties; ++i) {
+    data::Table table(schema);
+    for (Value v : revenues[i]) table.appendRow({data::Cell{v}});
+    dbs[i].addTable("sales", std::move(table));
+  }
 
   // --- Address book: reserve distinct localhost ports. -------------------
   std::vector<net::TcpPeer> peers;
@@ -39,60 +46,50 @@ int main() {
   }
 
   // --- Shared query descriptor (agreed out of band). ---------------------
-  protocol::DistributedConfig cfg;
-  cfg.queryId = 20260707;
-  cfg.params.k = kTopK;
-  cfg.params.epsilon = 1e-6;
-  cfg.ringOrder.resize(kParties);
-  std::iota(cfg.ringOrder.begin(), cfg.ringOrder.end(), NodeId{0});
+  query::QueryDescriptor query;
+  query.queryId = 20260707;
+  query.tableName = "sales";
+  query.attribute = "revenue";
+  query.params.k = 3;
+  query.params.epsilon = 1e-6;
+  std::vector<NodeId> ring(kParties);
+  std::iota(ring.begin(), ring.end(), NodeId{0});
   Rng ringRng(404);
-  ringRng.shuffle(cfg.ringOrder);  // random mapping + random starting node
+  ringRng.shuffle(ring);  // random mapping + random starting node
 
   net::TcpOptions tcpOptions;
   tcpOptions.encrypt = true;  // DH + ChaCha20 + HMAC on every link
   tcpOptions.keySeed = 20260707;
 
   std::printf("ring order:");
-  for (NodeId id : cfg.ringOrder) std::printf(" %u", id);
-  std::printf("   (node %u starts)\n", cfg.ringOrder.front());
+  for (NodeId id : ring) std::printf(" %u", id);
+  std::printf("   (node %u starts)\n", ring.front());
 
-  // --- One participant per thread, each with its own TCP endpoint. -------
+  // --- One NodeService per party, each with its own TCP endpoint. --------
   std::vector<std::unique_ptr<net::TcpTransport>> transports;
+  std::vector<std::unique_ptr<query::NodeService>> services;
   for (std::size_t i = 0; i < kParties; ++i) {
     transports.push_back(std::make_unique<net::TcpTransport>(
         static_cast<NodeId>(i), peers, tcpOptions));
+    services.push_back(std::make_unique<query::NodeService>(
+        static_cast<NodeId>(i), dbs[i], *transports[i], 505 + i));
+    services.back()->start();
   }
 
-  Rng rng(505);
-  std::vector<Rng> nodeRngs;
-  for (std::size_t i = 0; i < kParties; ++i) nodeRngs.push_back(rng.fork(i));
-
-  std::vector<std::future<TopKVector>> futures;
+  auto future = services[ring.front()]->initiate(query, ring);
+  bool consistent = future.wait_for(10s) == std::future_status::ready;
+  const TopKVector agreed = consistent ? future.get() : TopKVector{};
   for (std::size_t i = 0; i < kParties; ++i) {
-    futures.push_back(std::async(std::launch::async, [&, i] {
-      protocol::DistributedParticipant participant(static_cast<NodeId>(i),
-                                                   locals[i], *transports[i],
-                                                   cfg, nodeRngs[i]);
-      return participant.run();
-    }));
-  }
-
-  TopKVector agreed;
-  bool consistent = true;
-  for (std::size_t i = 0; i < kParties; ++i) {
-    const TopKVector result = futures[i].get();
+    const auto result = services[i]->waitFor(query.queryId, 10s);
     std::printf("party %zu received result %s\n", i,
-                toString(result).c_str());
-    if (i == 0) {
-      agreed = result;
-    } else if (result != agreed) {
-      consistent = false;
-    }
+                result ? toString(*result).c_str() : "(none)");
+    consistent = consistent && result == agreed;
   }
+  for (auto& s : services) s->stop();
   for (auto& t : transports) t->shutdown();
 
   std::printf("\nall parties agree: %s\n", consistent ? "yes" : "NO");
   std::printf("every link ran a Diffie-Hellman handshake and sealed each\n");
   std::printf("token with ChaCha20 + HMAC-SHA256 (encrypt-then-MAC).\n");
-  return 0;
+  return consistent ? 0 : 1;
 }

@@ -15,12 +15,11 @@
 //   * aborted()/abortReason()                   -> Abort: the ring shrank
 //     below the privacy floor and the query cannot continue.
 //
-// Four drivers exist: protocol::RingQueryRunner (synchronous Monte-Carlo
-// loop), protocol::runSimulatedQuery (virtual-time event queue),
-// protocol::DistributedParticipant (blocking transport) and
-// query::NodeService (long-running daemon).  They contain NO ring
-// arithmetic, round bookkeeping or termination logic of their own - this
-// header is the single home of all of it.
+// Three drivers exist: protocol::RingQueryRunner (synchronous Monte-Carlo
+// loop), protocol::runSimulatedQuery (virtual-time event queue) and
+// query::NodeService (long-running daemon, the one networked driver).
+// They contain NO ring arithmetic, round bookkeeping or termination logic
+// of their own - this header is the single home of all of it.
 
 #pragma once
 
@@ -150,7 +149,7 @@ struct ParticipantConfig {
   ProtocolParams params;
   /// Optional trace sink (RecordTraceStep effect).  May be shared by all
   /// participants of one run (in-memory engines) or private to this node
-  /// (distributed engines).  Must outlive the Participant.
+  /// (NodeService).  Must outlive the Participant.
   ExecutionTrace* trace = nullptr;
   /// Optional distributed-tracing sink.  When set and an input carries an
   /// active obs::TraceContext, every processed input emits one child span

@@ -88,15 +88,4 @@ void ResultCache::dropLocked(std::list<Entry>::iterator it) {
   entries_.erase(it);
 }
 
-QueryOutcome CachedFederation::execute(const QueryDescriptor& descriptor,
-                                       Rng& rng, std::uint64_t dataEpoch) {
-  const std::string key = ResultCache::keyFor(descriptor, dataEpoch);
-  if (auto cached = cache_.lookup(key)) return std::move(*cached);
-  // No lock across the execution: concurrent misses on one key may each
-  // run the protocol (the gateway's single-flight layer closes that gap).
-  QueryOutcome outcome = federation_->execute(descriptor, rng);
-  cache_.insert(key, outcome);
-  return outcome;
-}
-
 }  // namespace privtopk::query

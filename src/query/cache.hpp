@@ -15,11 +15,6 @@
 // a real deployment would version their datasets, so the cache key
 // includes a caller-supplied data epoch (the gateway owns the epoch and
 // bumps it through its invalidation hooks).
-//
-// CachedFederation survives as a thin shim for callers that want a cache
-// in front of an in-process Federation without the gateway's admission
-// machinery.  It is thread-safe but does NOT coalesce concurrent misses -
-// use query::Gateway for single-flight execution.
 
 #pragma once
 
@@ -102,34 +97,6 @@ class ResultCache {
   std::list<Entry> entries_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   Counters counters_;
-};
-
-/// Thread-safe caching decorator over an in-process Federation.  Kept as a
-/// compatibility shim; the production front door is query::Gateway, which
-/// adds single-flight coalescing and admission control on top of the same
-/// ResultCache.
-class CachedFederation {
- public:
-  explicit CachedFederation(const Federation& federation,
-                            ResultCache::Options options = {})
-      : federation_(&federation), cache_(options) {}
-
-  /// Executes through the cache.  `dataEpoch` identifies the federation's
-  /// data version; bump it whenever any party's data changes.  Concurrent
-  /// misses on the same key may each execute (no coalescing here).
-  [[nodiscard]] QueryOutcome execute(const QueryDescriptor& descriptor,
-                                     Rng& rng, std::uint64_t dataEpoch = 0);
-
-  [[nodiscard]] std::size_t hits() const { return cache_.counters().hits; }
-  [[nodiscard]] std::size_t misses() const { return cache_.counters().misses; }
-  [[nodiscard]] std::size_t size() const { return cache_.size(); }
-
-  /// Drops every cached entry.
-  void clear() { cache_.clear(); }
-
- private:
-  const Federation* federation_;
-  ResultCache cache_;
 };
 
 }  // namespace privtopk::query

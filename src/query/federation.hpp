@@ -6,7 +6,7 @@
 //   * Federation::execute - in-process simulation across a set of
 //     databases (experiments, tests, the CLI's `query` subcommand);
 //   * LocalParty::localInput / presentResult - the per-participant pieces
-//     a distributed deployment needs around DistributedParticipant.
+//     a networked node (query::NodeService) runs around the ring protocol.
 
 #pragma once
 

@@ -1,8 +1,8 @@
-// NodeService: a long-running participant daemon.
+// NodeService: a long-running participant daemon, and the one networked
+// driver of the ring protocol (`privtopk node` runs exactly one).
 //
-// The blocking protocol::DistributedParticipant serves exactly one query.
-// A real organization instead runs one service bound to its private
-// database and its transport endpoint; the service
+// A real organization runs one service bound to its private database and
+// its transport endpoint; the service
 //
 //   * answers QueryAnnounce messages by building the protocol state for
 //     the announced query from the LOCAL database (schema-validated) and

@@ -1,99 +1,144 @@
-// End-to-end integration: the full distributed protocol over real
-// transports (in-process queues and TCP sockets, plaintext and encrypted),
-// plus cross-engine consistency checks.
+// End-to-end integration: NodeService federations over real transports
+// (in-process queues and TCP sockets, plaintext and encrypted) where every
+// node, not only the initiator, must learn the exact answer, plus
+// cross-engine consistency checks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <future>
+#include <memory>
 #include <numeric>
 
 #include "crypto/secure_channel.hpp"
 #include "data/generator.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
-#include "protocol/engine.hpp"
 #include "protocol/runner.hpp"
 #include "protocol/sim_engine.hpp"
+#include "query/service.hpp"
 
 namespace privtopk {
 namespace {
 
 using namespace std::chrono_literals;
-using protocol::DistributedConfig;
 using protocol::ProtocolKind;
 using protocol::ProtocolParams;
-using protocol::runDistributedQuery;
 using protocol::runSimulatedQuery;
+using query::NodeService;
+using query::QueryDescriptor;
+using query::QueryType;
 
-std::vector<TopKVector> localTopKs(const std::vector<std::vector<Value>>& raw,
-                                   std::size_t k) {
-  std::vector<TopKVector> out;
-  for (const auto& values : raw) {
-    TopKVector v = values;
-    std::sort(v.begin(), v.end(), std::greater<>());
-    v.resize(std::min(k, v.size()));
-    out.push_back(v);
+std::vector<data::PrivateDatabase> databasesOf(
+    const std::vector<std::vector<Value>>& values) {
+  const data::Schema schema({{"revenue", data::ColumnType::Int}});
+  std::vector<data::PrivateDatabase> dbs;
+  for (const auto& column : values) {
+    data::Table table(schema);
+    for (Value v : column) table.appendRow({data::Cell{v}});
+    dbs.emplace_back().addTable("sales", std::move(table));
   }
-  return out;
+  return dbs;
 }
 
-DistributedConfig makeConfig(std::size_t n, std::size_t k, Rng& rng) {
-  DistributedConfig cfg;
-  cfg.queryId = 77;
-  cfg.params.k = k;
-  cfg.params.rounds = 10;
-  cfg.ringOrder.resize(n);
-  std::iota(cfg.ringOrder.begin(), cfg.ringOrder.end(), NodeId{0});
-  rng.shuffle(cfg.ringOrder);
-  return cfg;
+QueryDescriptor descriptor(std::uint64_t id, QueryType type, std::size_t k) {
+  QueryDescriptor d;
+  d.queryId = id;
+  d.type = type;
+  d.tableName = "sales";
+  d.attribute = "revenue";
+  d.params.k = k;
+  d.params.rounds = 10;
+  return d;
+}
+
+// Runs `queries` back to back on one NodeService per database, node i
+// speaking through *transports[i].  Each query starts at the head of a
+// fresh seeded ring shuffle, and every node must learn the initiator's
+// result.
+std::vector<TopKVector> runFederation(
+    const std::vector<data::PrivateDatabase>& dbs,
+    const std::vector<net::Transport*>& transports,
+    const std::vector<QueryDescriptor>& queries, std::uint64_t seed) {
+  std::vector<std::unique_ptr<NodeService>> services;
+  for (std::size_t i = 0; i < dbs.size(); ++i) {
+    services.push_back(std::make_unique<NodeService>(
+        static_cast<NodeId>(i), dbs[i], *transports[i], seed + i));
+    services.back()->start();
+  }
+  Rng rng(seed);
+  std::vector<TopKVector> results;
+  for (const QueryDescriptor& d : queries) {
+    std::vector<NodeId> ring(dbs.size());
+    std::iota(ring.begin(), ring.end(), NodeId{0});
+    rng.shuffle(ring);
+    auto future = services[ring.front()]->initiate(d, ring);
+    TopKVector result;
+    if (future.wait_for(10s) == std::future_status::ready) {
+      result = future.get();
+    } else {
+      ADD_FAILURE() << "query " << d.queryId << " never completed";
+    }
+    for (NodeId id : ring) {
+      EXPECT_EQ(services[id]->waitFor(d.queryId, 10s).value_or(TopKVector{}),
+                result)
+          << "node " << id << " disagrees on query " << d.queryId;
+    }
+    results.push_back(result);
+  }
+  for (auto& s : services) s->stop();
+  return results;
+}
+
+TopKVector runInProc(const std::vector<std::vector<Value>>& values,
+                     const QueryDescriptor& d, std::uint64_t seed) {
+  net::InProcTransport transport(values.size());
+  const auto results = runFederation(
+      databasesOf(values),
+      std::vector<net::Transport*>(values.size(), &transport), {d}, seed);
+  transport.shutdown();
+  return results.front();
 }
 
 TEST(EndToEnd, DistributedMaxOverInProcTransport) {
   const std::vector<std::vector<Value>> values = {{30}, {10}, {40}, {20}};
-  net::InProcTransport transport(4);
-  Rng rng(1);
-  DistributedConfig cfg = makeConfig(4, 1, rng);
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 1), transport, cfg, rng);
-  EXPECT_EQ(result, (TopKVector{40}));
+  EXPECT_EQ(runInProc(values, descriptor(77, QueryType::Max, 1), 1),
+            (TopKVector{40}));
 }
 
 TEST(EndToEnd, DistributedTopKOverInProcTransport) {
   data::UniformDistribution dist;
   Rng dataRng(2);
   const auto values = data::generateValueSets(6, 10, dist, dataRng);
-  net::InProcTransport transport(6);
-  Rng rng(3);
-  DistributedConfig cfg = makeConfig(6, 4, rng);
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 4), transport, cfg, rng);
-  EXPECT_EQ(result, data::trueTopK(values, 4));
+  EXPECT_EQ(runInProc(values, descriptor(77, QueryType::TopK, 4), 3),
+            data::trueTopK(values, 4));
 }
 
 TEST(EndToEnd, DistributedNaiveProtocol) {
   const std::vector<std::vector<Value>> values = {{3, 1}, {9, 2}, {7, 8}};
-  net::InProcTransport transport(3);
-  Rng rng(4);
-  DistributedConfig cfg = makeConfig(3, 2, rng);
-  cfg.kind = ProtocolKind::Naive;
-  const TopKVector result =
-      runDistributedQuery(localTopKs(values, 2), transport, cfg, rng);
-  EXPECT_EQ(result, (TopKVector{9, 8}));
+  QueryDescriptor d = descriptor(77, QueryType::TopK, 2);
+  d.kind = ProtocolKind::Naive;
+  EXPECT_EQ(runInProc(values, d, 4), (TopKVector{9, 8}));
 }
 
 TEST(EndToEnd, ManyQueriesBackToBack) {
+  // Five queries on one long-running federation, each from a different
+  // ring order (and so usually a different initiator).
   data::UniformDistribution dist;
   Rng dataRng(5);
-  Rng rng(6);
-  for (int q = 0; q < 5; ++q) {
-    const auto values = data::generateValueSets(4, 5, dist, dataRng);
-    net::InProcTransport transport(4);
-    DistributedConfig cfg = makeConfig(4, 2, rng);
-    cfg.queryId = static_cast<std::uint64_t>(q + 1);
-    EXPECT_EQ(runDistributedQuery(localTopKs(values, 2), transport, cfg, rng),
-              data::trueTopK(values, 2))
-        << "query " << q;
+  const auto values = data::generateValueSets(4, 5, dist, dataRng);
+  std::vector<QueryDescriptor> queries;
+  for (std::uint64_t q = 1; q <= 5; ++q) {
+    queries.push_back(descriptor(q, QueryType::TopK, 1 + q % 3));
+  }
+  net::InProcTransport transport(4);
+  const auto results =
+      runFederation(databasesOf(values),
+                    std::vector<net::Transport*>(4, &transport), queries, 6);
+  transport.shutdown();
+  ASSERT_EQ(results.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(results[q], data::trueTopK(values, queries[q].params.k))
+        << "query " << queries[q].queryId;
   }
 }
 
@@ -111,7 +156,8 @@ std::vector<net::TcpPeer> reserveRing(std::size_t n) {
 }
 
 TopKVector runOverTcp(const std::vector<std::vector<Value>>& values,
-                      std::size_t k, bool encrypt, std::uint64_t seed) {
+                      const QueryDescriptor& d, bool encrypt,
+                      std::uint64_t seed) {
   const std::size_t n = values.size();
   const auto peers = reserveRing(n);
   net::TcpOptions options;
@@ -119,50 +165,37 @@ TopKVector runOverTcp(const std::vector<std::vector<Value>>& values,
   options.keySeed = seed;
 
   std::vector<std::unique_ptr<net::TcpTransport>> transports;
+  std::vector<net::Transport*> endpoints;
   for (std::size_t i = 0; i < n; ++i) {
     transports.push_back(std::make_unique<net::TcpTransport>(
         static_cast<NodeId>(i), peers, options));
+    endpoints.push_back(transports.back().get());
   }
-
-  Rng rng(seed);
-  DistributedConfig cfg = makeConfig(n, k, rng);
-  const auto locals = localTopKs(values, k);
-
-  std::vector<std::future<TopKVector>> futures;
-  std::vector<Rng> rngs;
-  for (std::size_t i = 0; i < n; ++i) rngs.push_back(rng.fork(i));
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(std::async(std::launch::async, [&, i] {
-      protocol::DistributedParticipant participant(static_cast<NodeId>(i),
-                                                   locals[i], *transports[i],
-                                                   cfg, rngs[i]);
-      return participant.run();
-    }));
-  }
-  TopKVector result = futures.front().get();
-  for (std::size_t i = 1; i < n; ++i) {
-    EXPECT_EQ(futures[i].get(), result) << "node " << i << " disagrees";
-  }
+  const auto results = runFederation(databasesOf(values), endpoints, {d}, seed);
   for (auto& t : transports) t->shutdown();
-  return result;
+  return results.front();
 }
 
 TEST(EndToEnd, DistributedMaxOverTcp) {
   const std::vector<std::vector<Value>> values = {{310}, {120}, {9404}, {202}};
-  EXPECT_EQ(runOverTcp(values, 1, /*encrypt=*/false, 7), (TopKVector{9404}));
+  EXPECT_EQ(runOverTcp(values, descriptor(77, QueryType::Max, 1),
+                       /*encrypt=*/false, 7),
+            (TopKVector{9404}));
 }
 
 TEST(EndToEnd, DistributedTopKOverEncryptedTcp) {
   data::UniformDistribution dist;
   Rng dataRng(8);
   const auto values = data::generateValueSets(4, 8, dist, dataRng);
-  EXPECT_EQ(runOverTcp(values, 3, /*encrypt=*/true, 9),
+  EXPECT_EQ(runOverTcp(values, descriptor(77, QueryType::TopK, 3),
+                       /*encrypt=*/true, 9),
             data::trueTopK(values, 3));
 }
 
 TEST(EndToEnd, EnginesAgreeOnDeterministicRuns) {
-  // With p0 = 0 all three execution engines are deterministic merges and
-  // must produce the identical (exact) answer.
+  // With p0 = 0 the in-memory engines are deterministic merges and must
+  // produce the identical (exact) answer (engine_equivalence_test pins the
+  // live NodeService against both).
   data::UniformDistribution dist;
   Rng dataRng(10);
   const auto values = data::generateValueSets(5, 6, dist, dataRng);
@@ -183,14 +216,6 @@ TEST(EndToEnd, EnginesAgreeOnDeterministicRuns) {
   simCfg.params = params;
   Rng rng2(12);
   EXPECT_EQ(runSimulatedQuery(values, simCfg, rng2).result, truth);
-
-  // Distributed engine over in-process transport.
-  net::InProcTransport transport(5);
-  Rng rng3(13);
-  DistributedConfig cfg = makeConfig(5, 3, rng3);
-  cfg.params = params;
-  EXPECT_EQ(runDistributedQuery(localTopKs(values, 3), transport, cfg, rng3),
-            truth);
 }
 
 TEST(EndToEnd, SecureChannelProtectsTokenBytes) {

@@ -2,20 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "data/generator.hpp"
+#include <set>
 
 namespace privtopk::query {
 namespace {
-
-std::vector<data::PrivateDatabase> makeFleet(std::uint64_t seed) {
-  data::FleetSpec spec;
-  spec.nodes = 4;
-  spec.rowsPerNode = 10;
-  spec.tableName = "sales";
-  spec.attribute = "revenue";
-  Rng rng(seed);
-  return data::generateFleet(spec, rng);
-}
 
 QueryDescriptor descriptor(std::uint64_t queryId = 1, std::size_t k = 3) {
   QueryDescriptor d;
@@ -78,93 +68,24 @@ TEST(ResultCache, InsertRefreshesExistingKey) {
   ASSERT_TRUE(hit);
   EXPECT_EQ(hit->values, TopKVector{2});
   EXPECT_EQ(cache.size(), 1u);
+
+  // keyFor: the query id is a transport nonce, so re-asking the same
+  // question refreshes one key; a different k or type is a different
+  // question and must never share (or refresh) another's entry.
+  QueryDescriptor bottom = descriptor(1, 3);
+  bottom.type = QueryType::BottomK;
+  EXPECT_EQ(ResultCache::keyFor(descriptor(1, 3), 0),
+            ResultCache::keyFor(descriptor(999, 3), 0));
+  const std::set<std::string> keys = {ResultCache::keyFor(descriptor(1, 3), 0),
+                                      ResultCache::keyFor(descriptor(1, 5), 0),
+                                      ResultCache::keyFor(bottom, 0)};
+  EXPECT_EQ(keys.size(), 3u);
 }
 
 TEST(ResultCache, ZeroCapacityIsAConfigError) {
   ResultCache::Options options;
   options.capacity = 0;
   EXPECT_THROW(ResultCache cache(options), ConfigError);
-}
-
-TEST(CachedFederation, RepeatedQueryHitsCache) {
-  const auto fleet = makeFleet(1);
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(2);
-
-  const auto first = cached.execute(descriptor(), rng);
-  const auto second = cached.execute(descriptor(), rng);
-  EXPECT_EQ(first.values, second.values);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 1u);
-  EXPECT_EQ(cached.size(), 1u);
-}
-
-TEST(CachedFederation, QueryIdDoesNotBustCache) {
-  // The query id is a transport nonce; the same QUESTION must hit.
-  const auto fleet = makeFleet(3);
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(4);
-
-  (void)cached.execute(descriptor(/*queryId=*/1), rng);
-  (void)cached.execute(descriptor(/*queryId=*/999), rng);
-  EXPECT_EQ(cached.hits(), 1u);
-  EXPECT_EQ(cached.misses(), 1u);
-}
-
-TEST(CachedFederation, DifferentQuestionsMiss) {
-  const auto fleet = makeFleet(5);
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(6);
-
-  (void)cached.execute(descriptor(1, 3), rng);
-  (void)cached.execute(descriptor(1, 5), rng);  // different k
-  QueryDescriptor bottom = descriptor(1, 3);
-  bottom.type = QueryType::BottomK;
-  (void)cached.execute(bottom, rng);  // different type
-  EXPECT_EQ(cached.misses(), 3u);
-  EXPECT_EQ(cached.hits(), 0u);
-  EXPECT_EQ(cached.size(), 3u);
-}
-
-TEST(CachedFederation, DataEpochInvalidates) {
-  const auto fleet = makeFleet(7);
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(8);
-
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/0);
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/1);
-  EXPECT_EQ(cached.misses(), 2u);
-  (void)cached.execute(descriptor(), rng, /*dataEpoch=*/1);
-  EXPECT_EQ(cached.hits(), 1u);
-}
-
-TEST(CachedFederation, ClearDropsEntries) {
-  const auto fleet = makeFleet(9);
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(10);
-
-  (void)cached.execute(descriptor(), rng);
-  cached.clear();
-  EXPECT_EQ(cached.size(), 0u);
-  (void)cached.execute(descriptor(), rng);
-  EXPECT_EQ(cached.misses(), 2u);
-}
-
-TEST(CachedFederation, CachedAnswerMatchesTruth) {
-  const auto fleet = makeFleet(11);
-  const auto raw = data::fleetValues(fleet, "sales", "revenue");
-  const Federation federation(fleet);
-  CachedFederation cached(federation);
-  Rng rng(12);
-  const auto outcome = cached.execute(descriptor(), rng);
-  EXPECT_EQ(outcome.values, data::trueTopK(raw, 3));
-  // The cached copy is byte-identical.
-  EXPECT_EQ(cached.execute(descriptor(), rng).values, outcome.values);
 }
 
 }  // namespace

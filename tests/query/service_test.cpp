@@ -157,6 +157,13 @@ TEST(NodeService, InitiateValidation) {
   EXPECT_THROW(
       (void)cluster.services[0]->initiate(descriptor(31), {1, 0, 2}),
       ConfigError);  // initiator must be first
+  EXPECT_THROW(
+      (void)cluster.services[0]->initiate(descriptor(33), {1, 2, 3}),
+      ConfigError);  // initiator not on the ring at all
+  QueryDescriptor badP0 = descriptor(34);
+  badP0.params.p0 = 7.0;
+  EXPECT_THROW((void)cluster.services[0]->initiate(badP0, {0, 1, 2}),
+               ConfigError);
   auto ok = cluster.services[0]->initiate(descriptor(32), {0, 1, 2});
   ASSERT_EQ(ok.wait_for(5s), std::future_status::ready);
   (void)ok.get();
@@ -171,6 +178,7 @@ TEST(NodeService, HostileTrafficIsDroppedNotFatal) {
   cluster.transport->send(2, 0, Bytes{0xff, 0x00, 0x12});
   cluster.transport->send(
       2, 0, net::encodeMessage(net::RoundToken{999, 1, {5}, {}}));
+  cluster.transport->send(2, 0, net::encodeMessage(net::RingRepair{999, 1, 2}));
   auto future = cluster.services[0]->initiate(descriptor(40, QueryType::Max),
                                               cluster.ringFrom(0));
   ASSERT_EQ(future.wait_for(5s), std::future_status::ready);

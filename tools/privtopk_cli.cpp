@@ -4,7 +4,7 @@
 //   analyze    - print the paper's analytic bounds for given parameters
 //   generate   - write synthetic per-party CSV datasets
 //   query      - run a federated query across local CSV files (simulation)
-//   node       - run ONE distributed participant over TCP (deployment)
+//   node       - run ONE NodeService over TCP (deployment)
 //   metrics    - run one in-process federated query, dump the metrics
 //   trace-view - merge per-node span dumps/endpoints into one timeline
 //
@@ -33,6 +33,7 @@
 //  --fault-spec and --shape-spec grammars are documented in
 //  docs/ROBUSTNESS.md)
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +57,6 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_view.hpp"
-#include "protocol/engine.hpp"
 #include "query/federation.hpp"
 #include "query/filter.hpp"
 #include "query/gateway.hpp"
@@ -422,16 +422,14 @@ int cmdNode(int argc, const char* const* argv) {
         static_cast<std::uint16_t>(std::stoi(parts[1]))});
   }
 
-  protocol::DistributedConfig cfg;
-  cfg.queryId = descriptor.queryId;
-  cfg.params = descriptor.params;
-  cfg.params.k = descriptor.effectiveK();
-  cfg.kind = descriptor.kind;
-  cfg.receiveTimeout =
-      std::chrono::milliseconds(args.getInt("timeout-ms", 30000));
+  std::vector<NodeId> ring;
   for (const std::string& node : args.getList("ring")) {
-    cfg.ringOrder.push_back(static_cast<NodeId>(std::stoul(node)));
+    ring.push_back(static_cast<NodeId>(std::stoul(node)));
   }
+  if (std::find(ring.begin(), ring.end(), self) == ring.end()) {
+    throw ConfigError("node: --self is not on --ring");
+  }
+  const std::chrono::milliseconds timeout(args.getInt("timeout-ms", 30000));
 
   const data::Schema schema =
       parseSchema(args.getString("schema", "id:text,value:int"));
@@ -469,80 +467,58 @@ int cmdNode(int argc, const char* const* argv) {
   const auto seed =
       static_cast<std::uint64_t>(args.getInt("seed", 42)) + self;
 
-  // Group-parallel execution (§4.2) needs the multi-query NodeService:
-  // every node may serve a group ring, the merge ring and the parent query
-  // at once.  The observability surface (distributed tracing, span dumps,
-  // the HTTP scrape endpoint) also lives in the service, so any of those
-  // flags routes a flat query through it as well.  The ring's first node
-  // initiates; everyone else waits for the disseminated final result.
-  const bool wantService = descriptor.groupSize >= 3 ||
-                           args.getBool("trace-queries") ||
-                           args.has("http-port") || args.has("span-dump");
-  if (wantService) {
-    query::ServiceOptions serviceOptions;
-    serviceOptions.staleAfter = cfg.receiveTimeout;
-    serviceOptions.traceQueries = args.getBool("trace-queries");
-    serviceOptions.spanRingCapacity =
-        static_cast<std::size_t>(args.getInt("span-ring", 8192));
-    if (args.has("http-port")) {
-      serviceOptions.httpPort =
-          static_cast<std::uint16_t>(args.getInt("http-port", 0));
-    }
-    query::NodeService service(self, db, transport, seed, serviceOptions);
-    service.start();
-    if (service.httpPort() != 0) {
-      std::printf("node %u serving http on 127.0.0.1:%u\n", self,
-                  service.httpPort());
-    }
-    std::printf("node %u joined ring, waiting for the protocol...\n", self);
-    TopKVector result;
-    if (cfg.ringOrder.front() == self) {
-      auto future = service.initiate(descriptor, cfg.ringOrder);
-      if (future.wait_for(cfg.receiveTimeout) != std::future_status::ready) {
-        throw TransportError("node: query did not complete in time");
-      }
-      result = future.get();
-    } else {
-      const auto got = service.waitFor(descriptor.queryId, cfg.receiveTimeout);
-      if (!got) {
-        throw TransportError("node: query did not complete in time");
-      }
-      result = *got;
-    }
-    std::printf("result: %s\n", toString(result).c_str());
-    // Trailing traffic (the announce still circling, dissemination hops)
-    // lands shortly after the local result; drain so the span dump and a
-    // final scrape see the settled state.
-    const auto drainDeadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (service.activeQueries() > 0 &&
-           std::chrono::steady_clock::now() < drainDeadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (args.has("span-dump")) {
-      const std::string path = args.getString("span-dump");
-      std::ofstream dump(path);
-      if (!dump) throw ConfigError("node: cannot write " + path);
-      std::size_t count = 0;
-      for (const obs::SpanRecord& span : service.spans()) {
-        dump << obs::renderSpanJson(span) << '\n';
-        ++count;
-      }
-      std::printf("wrote %zu spans to %s\n", count, path.c_str());
-    }
-    service.stop();
-    transport.shutdown();
-    return 0;
+  // The ring's first node initiates; everyone else waits for the
+  // disseminated final result.
+  query::ServiceOptions serviceOptions;
+  serviceOptions.staleAfter = timeout;
+  serviceOptions.traceQueries = args.getBool("trace-queries");
+  serviceOptions.spanRingCapacity =
+      static_cast<std::size_t>(args.getInt("span-ring", 8192));
+  if (args.has("http-port")) {
+    serviceOptions.httpPort =
+        static_cast<std::uint16_t>(args.getInt("http-port", 0));
   }
-
-  const TopKVector local = query::LocalParty(db).localInput(descriptor);
-  Rng rng(seed);
-  protocol::DistributedParticipant participant(self, local, transport, cfg,
-                                               rng);
+  query::NodeService service(self, db, transport, seed, serviceOptions);
+  service.start();
+  if (service.httpPort() != 0) {
+    std::printf("node %u serving http on 127.0.0.1:%u\n", self,
+                service.httpPort());
+  }
   std::printf("node %u joined ring, waiting for the protocol...\n", self);
-  const TopKVector protocolResult = participant.run();
-  const TopKVector result = query::presentResult(descriptor, protocolResult);
+  TopKVector result;
+  if (ring.front() == self) {
+    auto future = service.initiate(descriptor, ring);
+    if (future.wait_for(timeout) != std::future_status::ready) {
+      throw TransportError("node: query did not complete in time");
+    }
+    result = future.get();
+  } else {
+    const auto got = service.waitFor(descriptor.queryId, timeout);
+    if (!got) throw TransportError("node: query did not complete in time");
+    result = *got;
+  }
   std::printf("result: %s\n", toString(result).c_str());
+  // Trailing traffic (the announce still circling, dissemination hops)
+  // lands shortly after the local result; drain so the span dump and a
+  // final scrape see the settled state.
+  const auto drainDeadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (service.activeQueries() > 0 &&
+         std::chrono::steady_clock::now() < drainDeadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (args.has("span-dump")) {
+    const std::string path = args.getString("span-dump");
+    std::ofstream dump(path);
+    if (!dump) throw ConfigError("node: cannot write " + path);
+    std::size_t count = 0;
+    for (const obs::SpanRecord& span : service.spans()) {
+      dump << obs::renderSpanJson(span) << '\n';
+      ++count;
+    }
+    std::printf("wrote %zu spans to %s\n", count, path.c_str());
+  }
+  service.stop();
   transport.shutdown();
   return 0;
 }
