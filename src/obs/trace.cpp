@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace privtopk::obs {
@@ -18,17 +17,13 @@ void EventTracer::enable(std::ostream* sink) {
 
 void EventTracer::disable() { enable(nullptr); }
 
-void EventTracer::event(std::string_view kind, std::string_view name,
-                        std::initializer_list<TraceField> fields) {
+void EventTracer::recordSpan(const SpanRecord& span) {
   if (!enabled()) return;
-  write(kind, name, fields.begin(), fields.size(), nullptr);
-}
-
-void EventTracer::span(const SpanRecord& record) {
-  if (!enabled()) return;
-  const std::string line = renderSpanJson(record) + "\n";
+  // The line is assembled locally and written under the mutex in one shot
+  // so concurrent emitters never interleave characters.
+  const std::string line = renderSpanJson(span) + "\n";
   std::scoped_lock lock(mutex_);
-  if (sink_ == nullptr) return;
+  if (sink_ == nullptr) return;  // disabled between the check and the lock
   (*sink_) << line;
 }
 
@@ -45,39 +40,24 @@ std::string renderSpanJson(const SpanRecord& span) {
   return os.str();
 }
 
-void EventTracer::write(std::string_view kind, std::string_view name,
-                        const TraceField* fields, std::size_t fieldCount,
-                        const std::int64_t* durNs) {
-  // The line is assembled locally and written under the mutex in one shot
-  // so concurrent emitters never interleave characters.
-  std::ostringstream os;
-  os << "{\"ts_ns\":" << nowNs() << ",\"kind\":\"" << kind << "\",\"name\":\""
-     << name << '"';
-  for (std::size_t i = 0; i < fieldCount; ++i) {
-    os << ",\"" << fields[i].first << "\":" << fields[i].second;
-  }
-  if (durNs != nullptr) os << ",\"dur_ns\":" << *durNs;
-  os << "}\n";
-  const std::string line = os.str();
-  std::scoped_lock lock(mutex_);
-  if (sink_ == nullptr) return;  // disabled between the check and the lock
-  (*sink_) << line;
-}
-
-Span::Span(std::string_view name, std::initializer_list<TraceField> fields)
-    : active_(EventTracer::global().enabled()), name_(name) {
-  if (!active_) return;
-  startNs_ = EventTracer::nowNs();
-  fieldCount_ = std::min(fields.size(), kMaxFields);
-  std::copy_n(fields.begin(), fieldCount_, fields_);
-  EventTracer::global().write("span_begin", name_, fields_, fieldCount_,
-                              nullptr);
-}
-
-Span::~Span() {
-  if (!active_) return;
-  const std::int64_t dur = EventTracer::nowNs() - startNs_;
-  EventTracer::global().write("span_end", name_, fields_, fieldCount_, &dur);
+TraceContext emitChildSpan(TraceSink* sink, const TraceContext& in,
+                           std::string_view name, std::uint64_t queryId,
+                           std::uint32_t node, std::uint32_t round,
+                           std::int64_t startNs, std::int64_t queueNs) {
+  if (sink == nullptr || !in.active()) return in;
+  SpanRecord span;
+  span.traceId = in.traceId;
+  span.spanId = allocateSpanId();
+  span.parentSpanId = in.parentSpanId;
+  span.name = name;
+  span.queryId = queryId;
+  span.node = node;
+  span.round = round;
+  span.startNs = startNs;
+  span.durNs = EventTracer::nowNs() - startNs;
+  span.queueNs = queueNs;
+  sink->recordSpan(span);
+  return TraceContext{in.traceId, span.spanId};
 }
 
 }  // namespace privtopk::obs

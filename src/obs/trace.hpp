@@ -1,38 +1,37 @@
-// Structured JSON-lines event tracer.
+// Distributed-trace spans and the JSON-lines span stream.
 //
-// One line per event, e.g.
-//   {"ts_ns":123456789,"kind":"span_begin","name":"query","query_id":7,
-//    "node":0,"round":2}
-// Timestamps are monotonic (steady_clock nanoseconds), so durations are
-// meaningful even across system clock adjustments.
+// A span is the only thing the tracer writes: one line per completed span,
+// e.g.
+//   {"ts_ns":123456789,"kind":"span","name":"ring_round","trace_id":"9",
+//    "span_id":"12","parent_span_id":"11","query_id":7,"node":0,"round":2,
+//    "start_ns":123400000,"dur_ns":56789,"queue_ns":0}
+// which `privtopk trace-view` (obs/trace_view.hpp) reads back.  Timestamps
+// are monotonic (steady_clock nanoseconds), so durations are meaningful
+// even across system clock adjustments.
 //
-// The tracer is disabled by default and zero-cost while disabled: every
-// emit path starts with one relaxed atomic load, and Span captures the
-// enabled flag at construction so a span opened while tracing is off stays
-// a no-op for its whole lifetime.  Enable at runtime with
+// The stream is disabled by default and zero-cost while disabled: spans
+// are only built for queries whose messages carry an active TraceContext
+// (ServiceOptions::traceQueries), and EventTracer::recordSpan starts with
+// one relaxed atomic load.  Enable at runtime with
 // `EventTracer::global().enable(&stream)`.
 //
-// Both execution paths feed it: the synchronous runner replays an
-// ExecutionTrace as ring_step events (protocol/trace_io.hpp's
-// emitTraceEvents), and the live NodeService emits query spans and round
-// events as traffic arrives.
+// Every child span - the core participant's ring_round and
+// result_dissemination, the service's announce_handled, sum_pass, repair,
+// group_phase and merge_phase - is built by emitChildSpan.
 
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
+
+#include "obs/context.hpp"
 
 namespace privtopk::obs {
-
-/// Optional integer fields attached to an event ({"query_id", 7}, ...).
-using TraceField = std::pair<std::string_view, std::int64_t>;
 
 /// One completed span of a distributed trace (docs/OBSERVABILITY.md
 /// §Span schema).  Timestamps are process-local steady_clock nanoseconds;
@@ -66,7 +65,9 @@ class TraceSink {
 /// that parse numbers as doubles.
 [[nodiscard]] std::string renderSpanJson(const SpanRecord& span);
 
-class EventTracer {
+/// Process-wide JSON-lines span stream: every recorded span becomes one
+/// renderSpanJson line on the enabled ostream.
+class EventTracer final : public TraceSink {
  public:
   static EventTracer& global();
 
@@ -78,13 +79,8 @@ class EventTracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Emits one event line.  No-op while disabled.
-  void event(std::string_view kind, std::string_view name,
-             std::initializer_list<TraceField> fields = {});
-
-  /// Emits one completed span as a JSON line (TraceSink-compatible entry
-  /// point for the stream sink).  No-op while disabled.
-  void span(const SpanRecord& span);
+  /// Writes one span line.  No-op while disabled.
+  void recordSpan(const SpanRecord& span) override;
 
   /// Monotonic timestamp in nanoseconds.
   [[nodiscard]] static std::int64_t nowNs() {
@@ -94,32 +90,22 @@ class EventTracer {
   }
 
  private:
-  void write(std::string_view kind, std::string_view name,
-             const TraceField* fields, std::size_t fieldCount,
-             const std::int64_t* durNs);
-  friend class Span;
-
   std::atomic<bool> enabled_{false};
   std::mutex mutex_;
   std::ostream* sink_ = nullptr;
 };
 
-/// RAII span: emits span_begin at construction and span_end (with dur_ns)
-/// at destruction.  Field values are captured at construction.
-class Span {
- public:
-  Span(std::string_view name, std::initializer_list<TraceField> fields = {});
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  ~Span();
-
- private:
-  static constexpr std::size_t kMaxFields = 4;
-  bool active_;
-  std::int64_t startNs_ = 0;
-  std::string_view name_;
-  TraceField fields_[kMaxFields];
-  std::size_t fieldCount_ = 0;
-};
+/// Records one child span of `in` (started at `startNs`, ending now) into
+/// `sink` and returns the child context to stamp on outgoing messages.
+/// Passes `in` through untouched, emitting nothing, when `sink` is null or
+/// `in` is inactive.
+[[nodiscard]] TraceContext emitChildSpan(TraceSink* sink,
+                                         const TraceContext& in,
+                                         std::string_view name,
+                                         std::uint64_t queryId,
+                                         std::uint32_t node,
+                                         std::uint32_t round,
+                                         std::int64_t startNs,
+                                         std::int64_t queueNs);
 
 }  // namespace privtopk::obs

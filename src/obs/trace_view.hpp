@@ -29,7 +29,7 @@
 namespace privtopk::obs {
 
 /// Parses one JSON line produced by renderSpanJson; returns nullopt for
-/// non-span lines (events, blanks, garbage) so whole tracer streams can be
+/// non-span lines (blanks, garbage, other output) so mixed streams can be
 /// fed through unfiltered.
 [[nodiscard]] std::optional<SpanRecord> parseSpanJsonLine(
     std::string_view line);

@@ -137,26 +137,6 @@ Actions Participant::finish(Actions actions, const TopKVector& result,
   return actions;
 }
 
-obs::TraceContext Participant::emitSpan(const obs::TraceContext& in,
-                                        const char* name, Round round,
-                                        std::int64_t startNs,
-                                        std::int64_t queueNs) {
-  if (spanSink_ == nullptr || !in.active()) return in;
-  obs::SpanRecord span;
-  span.traceId = in.traceId;
-  span.spanId = obs::allocateSpanId();
-  span.parentSpanId = in.parentSpanId;
-  span.name = name;
-  span.queryId = queryId_;
-  span.node = self_;
-  span.round = round;
-  span.startNs = startNs;
-  span.durNs = obs::EventTracer::nowNs() - startNs;
-  span.queueNs = queueNs;
-  spanSink_->recordSpan(span);
-  return obs::TraceContext{in.traceId, span.spanId};
-}
-
 Actions Participant::onStart(obs::TraceContext ctx) {
   if (!isStart()) {
     throw Error("core::Participant: onStart on a non-start node");
@@ -170,8 +150,10 @@ Actions Participant::onStart(obs::TraceContext ctx) {
   const TopKVector initial(params_.k, params_.domain.min);
   Actions actions;
   TopKVector out = process(1, initial);
-  actions.sendToken = net::RoundToken{queryId_, 1, std::move(out),
-                                      emitSpan(ctx, "ring_round", 1, t0, 0)};
+  actions.sendToken = net::RoundToken{
+      queryId_, 1, std::move(out),
+      obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_, 1, t0,
+                         0)};
   return actions;
 }
 
@@ -198,12 +180,14 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
     lastClosed_ = round;
     if (round >= rounds_) {
       return finish(actions, vector,
-                    emitSpan(ctx, "ring_round", round, t0, queueNs));
+                    obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_,
+                                       self_, round, t0, queueNs));
     }
     TopKVector out = process(round + 1, vector);
-    actions.sendToken =
-        net::RoundToken{queryId_, round + 1, std::move(out),
-                        emitSpan(ctx, "ring_round", round + 1, t0, queueNs)};
+    actions.sendToken = net::RoundToken{
+        queryId_, round + 1, std::move(out),
+        obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_,
+                           round + 1, t0, queueNs)};
     return actions;
   }
   if (round <= lastProcessed_) {
@@ -211,9 +195,10 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
     return actions;
   }
   TopKVector out = process(round, vector);
-  actions.sendToken =
-      net::RoundToken{queryId_, round, std::move(out),
-                      emitSpan(ctx, "ring_round", round, t0, queueNs)};
+  actions.sendToken = net::RoundToken{
+      queryId_, round, std::move(out),
+      obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_, round,
+                         t0, queueNs)};
   return actions;
 }
 
@@ -230,7 +215,8 @@ Actions Participant::onResult(const TopKVector& result,
                               : 0;
   // Forward once; the announcement dies when it reaches the start node.
   return finish(actions, result,
-                emitSpan(ctx, "result_dissemination", 0, t0, 0));
+                obs::emitChildSpan(spanSink_, ctx, "result_dissemination",
+                                   queryId_, self_, 0, t0, 0));
 }
 
 RepairOutcome Participant::onPeerDead(NodeId failed) {

@@ -263,12 +263,6 @@ class Participant {
   [[nodiscard]] TopKVector process(Round round, const TopKVector& input);
   Actions finish(Actions actions, const TopKVector& result,
                  const obs::TraceContext& ctx);
-  /// Records one child span of `in` and returns the child context for the
-  /// outgoing message; passes `in` through untouched when the sink is null
-  /// or the context inactive.
-  obs::TraceContext emitSpan(const obs::TraceContext& in, const char* name,
-                             Round round, std::int64_t startNs,
-                             std::int64_t queueNs);
   /// The ring ordering of the round currently in flight (wireRound_),
   /// derived from the base order by the mechanism and cached until the
   /// round advances or the base order changes.

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/ring.hpp"
 
 namespace privtopk::protocol {
@@ -114,18 +113,6 @@ RunResult RingQueryRunner::run(
                               std::move(algorithms[i]));
   }
 
-  // The enabled flag is sampled once per run: a query is all-or-nothing in
-  // the trace stream, and the hot loop stays branch-predictable.
-  const bool traceEvents = obs::EventTracer::global().enabled();
-  const auto traceStep = [&](const core::Participant& p, Round round) {
-    if (traceEvents) {
-      obs::EventTracer::global().event(
-          "event", "ring_step",
-          {{"round", round},
-           {"position", static_cast<std::int64_t>(p.position())},
-           {"node", p.self()}});
-    }
-  };
   const bool remap = params_.remapEachRound && kind_ == ProtocolKind::Probabilistic;
 
   // --- Rounds of token passing: shuttle the core's send effects around
@@ -133,7 +120,6 @@ RunResult RingQueryRunner::run(
   NodeId holder = order.front();
   core::Actions actions = participants[holder].onStart();
   ++out.tokenMessages;
-  traceStep(participants[holder], 1);
 
   while (actions.sendToken) {
     const NodeId next = participants[holder].successor();
@@ -145,10 +131,7 @@ RunResult RingQueryRunner::run(
           core::remapRing(participants[holder].ringOrder(), holder, rng);
       for (auto& p : participants) p.setRingOrder(mapping);
     }
-    if (actions.sendToken) {
-      ++out.tokenMessages;
-      traceStep(participants[holder], actions.sendToken->round);
-    }
+    if (actions.sendToken) ++out.tokenMessages;
   }
 
   out.result = participants[holder].result();

@@ -4,7 +4,6 @@
 #include <fstream>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace privtopk::protocol {
 
@@ -147,24 +146,6 @@ std::vector<ExecutionTrace> loadTraceArchive(const std::string& path) {
   Bytes bytes((std::istreambuf_iterator<char>(in)),
               std::istreambuf_iterator<char>());
   return decodeTraceArchive(bytes);
-}
-
-void emitTraceEvents(const ExecutionTrace& trace, std::uint64_t queryId) {
-  obs::EventTracer& tracer = obs::EventTracer::global();
-  if (!tracer.enabled()) return;
-  const auto qid = static_cast<std::int64_t>(queryId);
-  const obs::Span span("query_replay",
-                       {{"query_id", qid},
-                        {"n", static_cast<std::int64_t>(trace.nodeCount)},
-                        {"k", static_cast<std::int64_t>(trace.k)},
-                        {"rounds", trace.rounds}});
-  for (const TraceStep& step : trace.steps) {
-    tracer.event("event", "ring_step",
-                 {{"query_id", qid},
-                  {"round", step.round},
-                  {"position", static_cast<std::int64_t>(step.position)},
-                  {"node", step.node}});
-  }
 }
 
 }  // namespace privtopk::protocol

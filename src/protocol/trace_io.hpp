@@ -33,10 +33,4 @@ void saveTraceArchive(const std::string& path,
 [[nodiscard]] std::vector<ExecutionTrace> loadTraceArchive(
     const std::string& path);
 
-/// Replays a recorded trace into the structured event tracer
-/// (obs::EventTracer) as one query span containing a ring_step event per
-/// step.  No-op while the tracer is disabled.  This is how the offline
-/// privacy path shares the live service path's JSON-lines stream.
-void emitTraceEvents(const ExecutionTrace& trace, std::uint64_t queryId);
-
 }  // namespace privtopk::protocol

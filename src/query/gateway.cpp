@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace privtopk::query {
 
@@ -117,10 +116,6 @@ QueryOutcome Gateway::execute(const GatewayRequest& request) {
       if (!tryTakeToken(request.tenant, arrivedAt, retryAfter)) {
         ++tallies_.shedRateLimit;
         metrics_.shedRateLimit.inc();
-        obs::EventTracer::global().event(
-            "gateway", "shed_rate_limit",
-            {{"query_id",
-              static_cast<std::int64_t>(request.descriptor.queryId)}});
         throw OverloadError("Gateway: tenant '" + request.tenant +
                                 "' exceeded its execution rate limit",
                             retryAfter);
@@ -130,10 +125,6 @@ QueryOutcome Gateway::execute(const GatewayRequest& request) {
       if (!slotFree && queuedExecutions_ >= options_.maxQueuedExecutions) {
         ++tallies_.shedQueueFull;
         metrics_.shedQueueFull.inc();
-        obs::EventTracer::global().event(
-            "gateway", "shed_queue_full",
-            {{"query_id",
-              static_cast<std::int64_t>(request.descriptor.queryId)}});
         // Expect one queue slot to drain per completed execution; hint
         // from the observed mean execution latency (50 ms before any).
         const std::uint64_t n = metrics_.executeLatencyMs.count();
@@ -193,9 +184,6 @@ QueryOutcome Gateway::runFlight(const std::string& key,
   std::exception_ptr error;
   const auto startedAt = SteadyClock::now();
   try {
-    obs::Span span("gateway_execute",
-                   {{"query_id", static_cast<std::int64_t>(descriptor.queryId)},
-                    {"seq", static_cast<std::int64_t>(seq)}});
     outcome = executor_(descriptor, rng);
   } catch (...) {
     error = std::current_exception();

@@ -564,12 +564,6 @@ bool NodeService::repairAfterDeadSuccessor(QueryState& state, NodeId dead,
   const protocol::core::RepairOutcome outcome = applyRepair(state, dead);
   state.sendFailures = 0;
   metrics_.ringRepairs.inc();
-  obs::EventTracer::global().event(
-      "event", "ring_repair",
-      {{"query_id", static_cast<std::int64_t>(state.descriptor.queryId)},
-       {"node", self_},
-       {"failed_node", dead},
-       {"ring_size", ringOf(state).size()}});
   if (outcome.belowFloor) {
     abortQuery(state, "ring shrank below the privacy floor after repair");
     return false;
@@ -582,8 +576,9 @@ bool NodeService::repairAfterDeadSuccessor(QueryState& state, NodeId dead,
       Outbound{state.descriptor.queryId,
                net::encodeMessage(net::RingRepair{
                    state.descriptor.queryId, dead, next,
-                   emitServiceSpan(state.traceCtx, "repair",
-                                   state.descriptor.queryId, 0, t0, 0)}),
+                   obs::emitChildSpan(&spanFan_, state.traceCtx, "repair",
+                                      state.descriptor.queryId, self_, 0, t0,
+                                      0)}),
                next, true});
   return true;
 }
@@ -736,12 +731,6 @@ void NodeService::beginFlat(Admission& admission, std::vector<Outbound>& out) {
   QueryState& registered = it->second;
   metrics_.initiated.inc();
   metrics_.activeQueries.add(1);
-  obs::EventTracer::global().event(
-      "event", "query_initiated",
-      {{"query_id", static_cast<std::int64_t>(descriptor.queryId)},
-       {"node", self_},
-       {"rounds", registered.participant ? registered.participant->rounds()
-                                         : Round{1}}});
 
   // Announce first (FIFO links deliver it ahead of the round token on
   // every hop), then start the protocol immediately.
@@ -795,11 +784,6 @@ void NodeService::beginGrouped(Admission& admission,
   active_.emplace(parentId, std::move(parent));
   metrics_.initiated.inc();
   metrics_.activeQueries.add(1);
-  obs::EventTracer::global().event(
-      "event", "query_initiated",
-      {{"query_id", static_cast<std::int64_t>(parentId)},
-       {"node", self_},
-       {"groups", layout.groups.size()}});
 
   // Phase-1 fan-out: hand each remote group's announce straight to its
   // delegate, which forwards it and opens the ring (delegated start).
@@ -968,8 +952,9 @@ void NodeService::onAnnounce(const net::QueryAnnounce& announce,
   metrics_.activeQueries.add(1);
   // One "announce_handled" span per hop; the forwarded announce carries
   // the child context so the next hop chains off this one.
-  const obs::TraceContext child = emitServiceSpan(
-      announce.ctx, "announce_handled", announce.queryId, 0, t0, queueNs);
+  const obs::TraceContext child =
+      obs::emitChildSpan(&spanFan_, announce.ctx, "announce_handled",
+                         announce.queryId, self_, 0, t0, queueNs);
   it->second.traceCtx = child;
   if (announce.phase == 1) registerParentFollower(announce, descriptor, child);
   net::QueryAnnounce forwarded = announce;  // keep the announce circling
@@ -1051,8 +1036,9 @@ void NodeService::onMergeAnnounce(const net::QueryAnnounce& announce,
   (void)inserted;
   metrics_.participated.inc();
   metrics_.activeQueries.add(1);
-  const obs::TraceContext child = emitServiceSpan(
-      announce.ctx, "announce_handled", announce.queryId, 0, t0, queueNs);
+  const obs::TraceContext child =
+      obs::emitChildSpan(&spanFan_, announce.ctx, "announce_handled",
+                         announce.queryId, self_, 0, t0, queueNs);
   it->second.traceCtx = child;
   net::QueryAnnounce forwarded = announce;
   forwarded.ctx = child;
@@ -1100,11 +1086,6 @@ void NodeService::onRoundToken(NodeId from, const net::RoundToken& token,
     }
   }
   state.lastActivity = std::chrono::steady_clock::now();
-  obs::EventTracer::global().event(
-      "event", "ring_step",
-      {{"query_id", static_cast<std::int64_t>(token.queryId)},
-       {"round", token.round},
-       {"node", self_}});
 
   if (actions.roundClosed) metrics_.roundsExecuted.inc();
   if (actions.sendToken) queueSend(state, *actions.sendToken, out);
@@ -1146,8 +1127,9 @@ void NodeService::onSumToken(NodeId from, const net::SumToken& token,
       totals[i] = static_cast<std::int64_t>(
           static_cast<std::uint64_t>(token.sums[i]) - state.masks[i]);
     }
-    state.traceCtx = emitServiceSpan(token.ctx, "sum_pass", token.queryId,
-                                     token.round, t0, queueNs);
+    state.traceCtx =
+        obs::emitChildSpan(&spanFan_, token.ctx, "sum_pass", token.queryId,
+                           self_, token.round, t0, queueNs);
     queueSend(state,
               net::ResultAnnouncement{token.queryId, totals, state.traceCtx},
               out);
@@ -1161,8 +1143,9 @@ void NodeService::onSumToken(NodeId from, const net::SumToken& token,
         static_cast<std::uint64_t>(sums[i]) +
         static_cast<std::uint64_t>(state.addends[i]));
   }
-  state.traceCtx = emitServiceSpan(token.ctx, "sum_pass", token.queryId,
-                                   token.round, t0, queueNs);
+  state.traceCtx =
+      obs::emitChildSpan(&spanFan_, token.ctx, "sum_pass", token.queryId,
+                         self_, token.round, t0, queueNs);
   queueSend(state,
             net::SumToken{token.queryId, token.round, std::move(sums),
                           state.traceCtx},
@@ -1197,8 +1180,9 @@ void NodeService::onResult(const net::ResultAnnouncement& result,
   // Aggregate follower, or a grouped parent receiving the disseminated
   // final result on its group ring: forward once before completing.
   const std::int64_t t0 = result.ctx.active() ? obs::EventTracer::nowNs() : 0;
-  state.traceCtx = emitServiceSpan(result.ctx, "result_dissemination",
-                                   result.queryId, 0, t0, queueNs);
+  state.traceCtx =
+      obs::emitChildSpan(&spanFan_, result.ctx, "result_dissemination",
+                         result.queryId, self_, 0, t0, queueNs);
   net::ResultAnnouncement forwarded = result;
   forwarded.ctx = state.traceCtx;
   queueSend(state, forwarded, out);
@@ -1253,21 +1237,15 @@ void NodeService::onRingRepair(const net::RingRepair& repair,
   }
   metrics_.ringRepairs.inc();
   state.lastActivity = std::chrono::steady_clock::now();
-  obs::EventTracer::global().event(
-      "event", "ring_repair",
-      {{"query_id", static_cast<std::int64_t>(repair.queryId)},
-       {"node", self_},
-       {"failed_node", repair.failedNode},
-       {"ring_size", ringOf(state).size()}});
   if (outcome.belowFloor) {
     abortQuery(state, "ring shrank below the privacy floor after repair");
     return;
   }
   // Forward so every survivor learns the new ring.
   net::RingRepair forwarded = repair;
-  forwarded.ctx = emitServiceSpan(
-      repair.ctx.active() ? repair.ctx : state.traceCtx, "repair",
-      repair.queryId, 0, t0, 0);
+  forwarded.ctx = obs::emitChildSpan(
+      &spanFan_, repair.ctx.active() ? repair.ctx : state.traceCtx, "repair",
+      repair.queryId, self_, 0, t0, 0);
   out.push_back(Outbound{repair.queryId,
                          net::encodeMessage(net::Message{forwarded}),
                          successorFor(state), true});
@@ -1325,13 +1303,11 @@ void NodeService::onGroupPhaseDone(
   metrics_.groupPhaseMs.observe(elapsedMsSince(startedAt));
   parent.groupRaw = std::move(raw);
   parent.lastActivity = std::chrono::steady_clock::now();
-  obs::EventTracer::global().event(
-      "event", "group_phase_done",
-      {{"query_id", static_cast<std::int64_t>(parentId)}, {"node", self_}});
   // Phase span covering this node's whole group ring run; subsequent
   // merge-phase spans chain off it.
-  parent.traceCtx = emitServiceSpan(parent.traceCtx, "group_phase", parentId,
-                                    1, toTraceNs(startedAt), 0);
+  parent.traceCtx =
+      obs::emitChildSpan(&spanFan_, parent.traceCtx, "group_phase", parentId,
+                         self_, 1, toTraceNs(startedAt), 0);
   if (parent.isCoordinator) startMergePhase(parent, out);
   replayStashed(parentId, out, done);
 }
@@ -1377,11 +1353,9 @@ void NodeService::onMergePhaseDone(
   QueryState& parent = it->second;
   if (parent.aborted) return;
   metrics_.mergePhaseMs.observe(elapsedMsSince(startedAt));
-  obs::EventTracer::global().event(
-      "event", "merge_phase_done",
-      {{"query_id", static_cast<std::int64_t>(parentId)}, {"node", self_}});
-  parent.traceCtx = emitServiceSpan(parent.traceCtx, "merge_phase", parentId,
-                                    2, toTraceNs(startedAt), 0);
+  parent.traceCtx =
+      obs::emitChildSpan(&spanFan_, parent.traceCtx, "merge_phase", parentId,
+                         self_, 2, toTraceNs(startedAt), 0);
   // Disseminate the final result around this delegate's group ring; every
   // member completes the parent on receipt (onResult's forward-once
   // branch), and this node completes it right here.
@@ -1416,11 +1390,6 @@ void NodeService::applyCompletion(Completion completion,
   }
   metrics_.completed.inc();
   metrics_.activeQueries.sub(1);
-  obs::EventTracer::global().event(
-      "event", "query_completed",
-      {{"query_id", static_cast<std::int64_t>(completion.queryId)},
-       {"node", self_},
-       {"initiator", state.initiator ? 1 : 0}});
   if (state.rootSpanId != 0 && state.traceCtx.active()) {
     // The root "query" span, under the id reserved at initiation so every
     // hop's spans already chain off it.
@@ -1524,29 +1493,7 @@ obs::MetricsSnapshot NodeService::metricsSnapshot() const {
 
 void NodeService::SpanFan::recordSpan(const obs::SpanRecord& span) {
   if (buffer != nullptr) buffer->recordSpan(span);
-  obs::EventTracer::global().span(span);
-}
-
-obs::TraceContext NodeService::emitServiceSpan(const obs::TraceContext& in,
-                                               const char* name,
-                                               std::uint64_t queryId,
-                                               std::uint32_t round,
-                                               std::int64_t startNs,
-                                               std::int64_t queueNs) {
-  if (!in.active()) return in;
-  obs::SpanRecord span;
-  span.traceId = in.traceId;
-  span.spanId = obs::allocateSpanId();
-  span.parentSpanId = in.parentSpanId;
-  span.name = name;
-  span.queryId = queryId;
-  span.node = self_;
-  span.round = round;
-  span.startNs = startNs;
-  span.durNs = obs::EventTracer::nowNs() - startNs;
-  span.queueNs = queueNs;
-  spanFan_.recordSpan(span);
-  return obs::TraceContext{in.traceId, span.spanId};
+  obs::EventTracer::global().recordSpan(span);
 }
 
 std::uint16_t NodeService::httpPort() const {

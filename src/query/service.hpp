@@ -37,8 +37,10 @@
 //     inbound message carries an active obs::TraceContext the service and
 //     its core participant emit child spans (announce_handled, ring_round,
 //     sum_pass, group_phase, merge_phase, repair, result_dissemination)
-//     into a bounded span ring buffer and the global EventTracer, and
-//     stamp the child context onto every message they forward, so a whole
+//     through obs::emitChildSpan, and the initiator a root "query" span.
+//     Spans are the only trace output: they land in a bounded span ring
+//     buffer and the global EventTracer JSON-lines stream, and the child
+//     context is stamped onto every message forwarded, so a whole
 //     federation's spans merge into one timeline (`privtopk trace-view`);
 //   * optionally serves a loopback HTTP scrape endpoint
 //     (ServiceOptions::httpPort): /metrics (Prometheus text), /healthz,
@@ -469,14 +471,6 @@ class NodeService {
     obs::SpanRingBuffer* buffer = nullptr;
     void recordSpan(const obs::SpanRecord& span) override;
   };
-
-  /// Emits one service-side span as a child of `in` and returns the child
-  /// context for forwarded messages; an inactive context passes through
-  /// untouched (no span, no cost).
-  obs::TraceContext emitServiceSpan(const obs::TraceContext& in,
-                                    const char* name, std::uint64_t queryId,
-                                    std::uint32_t round, std::int64_t startNs,
-                                    std::int64_t queueNs);
 
   /// Serves one request of the embedded HTTP endpoint.
   [[nodiscard]] net::HttpResponse handleHttp(const net::HttpRequest& request);

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace privtopk {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -45,6 +49,11 @@ TEST(ParallelFor, PropagatesFirstException) {
                   [&](std::size_t i) {
                     calls.fetch_add(1);
                     if (i == 37) throw std::runtime_error("boom");
+                    // Fixed work per index: without it the other workers
+                    // drain 1000 empty bodies before the first throw of
+                    // the process has finished unwinding, and the bound
+                    // below would time the unwinder, not the park.
+                    std::this_thread::sleep_for(100us);
                   }),
       std::runtime_error);
   // The failing iteration parks the shared counter, so the fan-out stops

@@ -4,7 +4,10 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "obs/trace_view.hpp"
 
 namespace privtopk::obs {
 namespace {
@@ -22,11 +25,32 @@ std::vector<std::string> lines(const std::ostringstream& sink) {
   return out;
 }
 
+SpanRecord sampleSpan(std::string name) {
+  SpanRecord span;
+  span.traceId = 0xfedcba9876543210ULL;  // above 2^53: must survive as text
+  span.spanId = 12;
+  span.parentSpanId = 11;
+  span.name = std::move(name);
+  span.queryId = 7;
+  span.node = 3;
+  span.round = 2;
+  span.startNs = 1000;
+  span.durNs = 250;
+  span.queueNs = 40;
+  return span;
+}
+
+/// Collects spans in memory.
+struct VectorSink final : TraceSink {
+  std::vector<SpanRecord> spans;
+  void recordSpan(const SpanRecord& span) override { spans.push_back(span); }
+};
+
 TEST(EventTracer, DisabledByDefaultAndSilent) {
   TracerGuard guard;
   EXPECT_FALSE(EventTracer::global().enabled());
   // Must not crash or write anywhere while disabled.
-  EventTracer::global().event("event", "ignored", {{"x", 1}});
+  EventTracer::global().recordSpan(sampleSpan("ignored"));
 }
 
 TEST(EventTracer, EmitsJsonLinesWhenEnabled) {
@@ -35,74 +59,69 @@ TEST(EventTracer, EmitsJsonLinesWhenEnabled) {
   EventTracer::global().enable(&sink);
   ASSERT_TRUE(EventTracer::global().enabled());
 
-  EventTracer::global().event("event", "ring_step",
-                              {{"query_id", 7}, {"round", 2}, {"node", 0}});
+  const SpanRecord span = sampleSpan("ring_round");
+  EventTracer::global().recordSpan(span);
   EventTracer::global().disable();
   EXPECT_FALSE(EventTracer::global().enabled());
 
   const auto emitted = lines(sink);
   ASSERT_EQ(emitted.size(), 1u);
-  const std::string& line = emitted[0];
-  EXPECT_EQ(line.front(), '{');
-  EXPECT_EQ(line.back(), '}');
-  EXPECT_NE(line.find("\"ts_ns\":"), std::string::npos);
-  EXPECT_NE(line.find("\"kind\":\"event\""), std::string::npos);
-  EXPECT_NE(line.find("\"name\":\"ring_step\""), std::string::npos);
-  EXPECT_NE(line.find("\"query_id\":7"), std::string::npos);
-  EXPECT_NE(line.find("\"round\":2"), std::string::npos);
-  EXPECT_NE(line.find("\"node\":0"), std::string::npos);
+  EXPECT_EQ(emitted[0], renderSpanJson(span));
+  const auto parsed = parseSpanJsonLine(emitted[0]);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, span);
 }
 
-TEST(EventTracer, EventsAfterDisableAreDropped) {
+TEST(EventTracer, SpansAfterDisableAreDropped) {
   TracerGuard guard;
   std::ostringstream sink;
   EventTracer::global().enable(&sink);
-  EventTracer::global().event("event", "kept");
+  EventTracer::global().recordSpan(sampleSpan("kept"));
   EventTracer::global().disable();
-  EventTracer::global().event("event", "dropped");
-  const std::string out = sink.str();
-  EXPECT_NE(out.find("kept"), std::string::npos);
-  EXPECT_EQ(out.find("dropped"), std::string::npos);
-}
-
-TEST(Span, EmitsBeginAndEndWithDuration) {
-  TracerGuard guard;
-  std::ostringstream sink;
-  EventTracer::global().enable(&sink);
-  {
-    const Span span("unit_of_work", {{"query_id", 9}});
-  }
-  EventTracer::global().disable();
-
+  EventTracer::global().recordSpan(sampleSpan("dropped"));
   const auto emitted = lines(sink);
-  ASSERT_EQ(emitted.size(), 2u);
-  EXPECT_NE(emitted[0].find("\"kind\":\"span_begin\""), std::string::npos);
-  EXPECT_NE(emitted[0].find("\"name\":\"unit_of_work\""), std::string::npos);
-  EXPECT_NE(emitted[0].find("\"query_id\":9"), std::string::npos);
-  EXPECT_NE(emitted[1].find("\"kind\":\"span_end\""), std::string::npos);
-  EXPECT_NE(emitted[1].find("\"dur_ns\":"), std::string::npos);
-}
-
-TEST(Span, OpenedWhileDisabledStaysSilent) {
-  TracerGuard guard;
-  std::ostringstream sink;
-  // Span captures the enabled flag at construction: enabling mid-span must
-  // not produce a dangling span_end.
-  const Span* heldOpen = nullptr;
-  {
-    Span span("quiet");
-    heldOpen = &span;
-    EventTracer::global().enable(&sink);
-  }
-  (void)heldOpen;
-  EventTracer::global().disable();
-  EXPECT_EQ(sink.str().find("quiet"), std::string::npos);
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_NE(emitted[0].find("\"name\":\"kept\""), std::string::npos);
 }
 
 TEST(EventTracer, TimestampsAreMonotonic) {
   const std::int64_t a = EventTracer::nowNs();
   const std::int64_t b = EventTracer::nowNs();
   EXPECT_LE(a, b);
+}
+
+TEST(EmitChildSpan, RecordsOneChildAndReturnsItsContext) {
+  VectorSink sink;
+  const TraceContext in{42, 7};
+  const std::int64_t start = EventTracer::nowNs();
+  const TraceContext child =
+      emitChildSpan(&sink, in, "ring_round", 9, 3, 2, start, 15);
+
+  ASSERT_EQ(sink.spans.size(), 1u);
+  const SpanRecord& span = sink.spans[0];
+  EXPECT_EQ(span.traceId, 42u);
+  EXPECT_EQ(span.parentSpanId, 7u);
+  EXPECT_NE(span.spanId, 0u);
+  EXPECT_EQ(span.name, "ring_round");
+  EXPECT_EQ(span.queryId, 9u);
+  EXPECT_EQ(span.node, 3u);
+  EXPECT_EQ(span.round, 2u);
+  EXPECT_EQ(span.startNs, start);
+  EXPECT_GE(span.durNs, 0);
+  EXPECT_EQ(span.queueNs, 15);
+  // The returned context chains the next hop off the new span.
+  EXPECT_EQ(child, (TraceContext{42, span.spanId}));
+}
+
+TEST(EmitChildSpan, InactiveContextPassesThroughSilently) {
+  VectorSink sink;
+  const TraceContext off{};
+  EXPECT_EQ(emitChildSpan(&sink, off, "ring_round", 9, 3, 2, 0, 0), off);
+  EXPECT_TRUE(sink.spans.empty());
+
+  // A null sink (tracing not wired) also passes an active context through.
+  const TraceContext on{42, 7};
+  EXPECT_EQ(emitChildSpan(nullptr, on, "ring_round", 9, 3, 2, 0, 0), on);
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ TEST(SpanJson, RenderParseRoundTrip) {
 TEST(SpanJson, NonSpanLinesAreSkipped) {
   EXPECT_FALSE(parseSpanJsonLine("").has_value());
   EXPECT_FALSE(parseSpanJsonLine("not json").has_value());
-  // Event lines from the same tracer stream are ignored, not errors.
+  // Other JSON lines sharing the stream are ignored, not errors.
   EXPECT_FALSE(
       parseSpanJsonLine(
           R"({"ts_ns":1,"kind":"event","name":"ring_step","round":2})")

@@ -526,8 +526,8 @@ int cmdNode(int argc, const char* const* argv) {
 // Runs one federated query on a synthetic in-process cluster of
 // NodeServices, then dumps the populated metrics registry in Prometheus
 // text format and/or JSON.  This is the quickest way to see the whole
-// observability surface end to end; --trace additionally streams the
-// structured JSON-lines events to stderr while the query runs.
+// observability surface end to end; --trace additionally traces the query
+// and streams its spans to stderr as JSON lines (`trace-view --spans`).
 int cmdMetrics(int argc, const char* const* argv) {
   const ArgParser args(
       argc, argv,
@@ -579,6 +579,7 @@ int cmdMetrics(int argc, const char* const* argv) {
   // before the default initiator deadline; under WAN latencies the
   // retransmit deadline must exceed the slowest shaped round trip.
   query::ServiceOptions serviceOptions;
+  serviceOptions.traceQueries = args.getBool("trace");
   if (!faultSpec.empty()) {
     serviceOptions.retransmitAfter = std::chrono::milliseconds(250);
     serviceOptions.deadAfterFailures = 2;
