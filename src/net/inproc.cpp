@@ -42,13 +42,15 @@ void InProcTransport::send(NodeId from, NodeId to, const Bytes& payload) {
                             " envelopes)",
                         std::chrono::milliseconds(1));
   }
-  mailboxes_[to].queue.push_back(Envelope{from, to, payload});
+  Mailbox& box = mailboxes_[to];
+  box.queue.push_back(Envelope{from, to, payload});
   ++messagesSent_;
   bytesSent_ += payload.size();
   metricMessagesSent_.inc();
   metricBytesSent_.inc(payload.size());
   metricQueueDepth_.add(1);
-  cv_.notify_all();
+  lock.unlock();
+  box.cv.notify_one();
 }
 
 std::optional<Envelope> InProcTransport::receive(
@@ -59,7 +61,7 @@ std::optional<Envelope> InProcTransport::receive(
                          std::to_string(node));
   }
   auto& box = mailboxes_[node];
-  const bool ready = cv_.wait_for(lock, timeout, [&] {
+  const bool ready = box.cv.wait_for(lock, timeout, [&] {
     return shutdown_ || !box.queue.empty();
   });
   if (!ready || box.queue.empty()) {
@@ -89,7 +91,7 @@ void InProcTransport::shutdown() {
     }
   }
   shutdown_ = true;
-  cv_.notify_all();
+  for (auto& box : mailboxes_) box.cv.notify_all();
 }
 
 std::size_t InProcTransport::messagesSent() const {

@@ -1,5 +1,6 @@
-// In-process transport: per-node FIFO mailboxes guarded by a mutex and
-// condition variable.  Delivery is instantaneous and ordered per sender.
+// In-process transport: per-node FIFO mailboxes guarded by one mutex, each
+// with its own condition variable so a send wakes only the addressee's
+// receiver.  Delivery is instantaneous and ordered per sender.
 // An optional per-mailbox depth cap turns a send to a saturated node into
 // OverloadError, matching the TCP transport's write-queue backpressure so
 // the transport-conformance suite can exercise both the same way.
@@ -41,10 +42,10 @@ class InProcTransport final : public Transport {
  private:
   struct Mailbox {
     std::deque<Envelope> queue;
+    std::condition_variable cv;
   };
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::vector<Mailbox> mailboxes_;
   std::size_t maxQueueDepth_ = 0;
   bool shutdown_ = false;

@@ -16,8 +16,8 @@
 // `EventTracer::global().enable(&stream)`.
 //
 // Every child span - the core participant's ring_round and
-// result_dissemination, the service's announce_handled, sum_pass, repair,
-// group_phase and merge_phase - is built by emitChildSpan.
+// result_dissemination, the service's announce_handled, local_input,
+// sum_pass, repair, group_phase and merge_phase - is built by emitChildSpan.
 
 #pragma once
 

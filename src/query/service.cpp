@@ -371,6 +371,7 @@ void NodeService::finishKey(std::uint64_t key) {
 void NodeService::runWorkItem(std::uint64_t key, WorkItem& item) {
   std::vector<Outbound> out;
   std::deque<Completion> done;
+  std::optional<PendingScan> scan;
   if (auto* admission = std::get_if<Admission>(&item)) {
     performInitiation(*admission, out);
   } else {
@@ -381,12 +382,20 @@ void NodeService::runWorkItem(std::uint64_t key, WorkItem& item) {
             : 0;
     std::scoped_lock lock(mutex_);
     try {
-      handleMessage(inbound.from, inbound.message, queueNs, out, done);
+      scan = handleMessage(inbound.from, inbound.message, queueNs, out, done);
     } catch (const Error& e) {
       metrics_.droppedMessages.inc();
       PRIVTOPK_LOG_WARN("service ", self_, ": dropped message for query ",
                         key, ": ", e.what());
     }
+  }
+  if (scan) {
+    // The forwarded announce leaves before the scan, so the successor
+    // scans its own table while this node scans.  The key stays busy, so
+    // the query's round-1 token waits in the run queue until the state
+    // the scan builds exists.
+    flushOutbound(out);
+    runScan(*scan, out);
   }
   // Flush sends before applying each completion: a finished query's final
   // forward (and a merge delegate's dissemination) must leave while the
@@ -399,6 +408,54 @@ void NodeService::runWorkItem(std::uint64_t key, WorkItem& item) {
     std::scoped_lock lock(mutex_);
     applyCompletion(std::move(completion), out, done);
   }
+}
+
+void NodeService::runScan(const PendingScan& scan,
+                          std::vector<Outbound>& out) {
+  const std::int64_t t0 = scan.ctx.active() ? obs::EventTracer::nowNs() : 0;
+  const LocalParty party(*db_);
+  TopKVector input;
+  std::vector<std::int64_t> addends;
+  std::string failure;
+  try {
+    if (scan.descriptor.isAggregate()) {
+      addends = party.localAggregate(scan.descriptor);
+    } else {
+      input = party.localInput(scan.descriptor);
+    }
+  } catch (const Error& e) {
+    failure = e.what();
+  }
+  (void)obs::emitChildSpan(&spanFan_, scan.ctx, "local_input", scan.queryId,
+                           self_, 0, t0, t0 - scan.handedBackNs);
+
+  std::scoped_lock lock(mutex_);
+  const auto it = active_.find(scan.queryId);
+  // Garbage-collected or aborted (ring repair) while the scan ran.
+  if (it == active_.end() || it->second.aborted) return;
+  QueryState& state = it->second;
+  if (failure.empty()) {
+    try {
+      if (scan.descriptor.isAggregate()) {
+        state.addends = std::move(addends);
+        return;
+      }
+      // Grouped sub-query: the algorithm seed is a pure derivation from
+      // this node's seed and the parent id, not a draw from rng_, so
+      // grouped runs replay deterministically regardless of concurrent
+      // traffic.
+      Rng phaseRng(protocol::groupPhaseSeed(seed_, state.parentId, 1));
+      buildParticipant(state, state.descriptor,
+                       std::exchange(state.ringOrder, {}), std::move(input),
+                       state.phase == 1 ? phaseRng : rng_);
+      if (scan.delegatedStart) beginRounds(state, out);
+      return;
+    } catch (const Error& e) {
+      failure = e.what();
+    }
+  }
+  metrics_.droppedMessages.inc();
+  abortQuery(state, "cannot serve the query: " + failure);
 }
 
 void NodeService::maintain() {
@@ -472,7 +529,9 @@ void NodeService::queueSend(QueryState& state, const net::Message& message,
 void NodeService::flushOutbound(std::vector<Outbound>& out) {
   // Index loop: ring repair may append repair notifies while we iterate.
   for (std::size_t i = 0; i < out.size(); ++i) {
-    const Outbound item = out[i];
+    // Moved, not copied: ring repair may append to (and reallocate) `out`,
+    // and out[i] is not read again.
+    const Outbound item = std::move(out[i]);
     if (item.direct) {
       // One-shot, best-effort (group fan-out, repair notifies); the
       // regular retransmission machinery covers losses.
@@ -546,9 +605,10 @@ protocol::core::RepairOutcome NodeService::applyRepair(QueryState& state,
 
 NodeId NodeService::successorFor(const QueryState& state) const {
   // The participant knows which per-round ring ordering the privacy
-  // mechanism has in flight; only pre-participant traffic (announce
-  // forwarding before buildParticipant) falls back to the base order,
-  // where the two coincide for every mechanism (round-1 order == base).
+  // mechanism has in flight; only pre-participant traffic (the announce,
+  // forwarded before the local scan builds the participant) falls back to
+  // the base order, where the two coincide for every mechanism (round-1
+  // order == base).
   if (state.participant) return state.participant->successor();
   return protocol::core::ringSuccessor(ringOf(state), self_);
 }
@@ -697,11 +757,7 @@ void NodeService::performInitiation(Admission& admission,
 
 void NodeService::beginFlat(Admission& admission, std::vector<Outbound>& out) {
   const QueryDescriptor descriptor = admission.descriptor;
-  std::scoped_lock lock(mutex_);
   QueryState state;
-  state.descriptor = descriptor;
-  state.initiator = true;
-  state.admitted = true;
   state.registeredAt = std::chrono::steady_clock::now();
   state.lastActivity = state.registeredAt;
   if (options_.traceQueries) {
@@ -712,16 +768,30 @@ void NodeService::beginFlat(Admission& admission, std::vector<Outbound>& out) {
     state.traceCtx.parentSpanId = state.rootSpanId;
     state.traceStartNs = obs::EventTracer::nowNs();
   }
-
+  // Scan before taking mutex_ and before anything is queued: a bad local
+  // input fails initiate() with no traffic sent.
   const LocalParty party(*db_);
+  TopKVector input;
+  if (descriptor.isAggregate()) {
+    state.addends = party.localAggregate(descriptor);
+  } else {
+    input = party.localInput(descriptor);
+  }
+  (void)obs::emitChildSpan(&spanFan_, state.traceCtx, "local_input",
+                           descriptor.queryId, self_, 0, state.traceStartNs,
+                           0);
+
+  std::scoped_lock lock(mutex_);
+  state.descriptor = descriptor;
+  state.initiator = true;
+  state.admitted = true;
   if (descriptor.isAggregate()) {
     state.ringOrder = std::move(admission.ringOrder);
-    state.addends = party.localAggregate(descriptor);
     state.masks.resize(state.addends.size());
     for (auto& m : state.masks) m = rng_.next();
   } else {
     buildParticipant(state, descriptor, std::move(admission.ringOrder),
-                     party.localInput(descriptor), rng_);
+                     std::move(input), rng_);
   }
   state.promise = std::move(admission.promise);
 
@@ -754,8 +824,18 @@ void NodeService::beginGrouped(Admission& admission,
   const protocol::GroupLayout layout = protocol::makeGroupLayout(
       admission.ringOrder, self_, descriptor.groupSize, layoutRng);
 
-  std::scoped_lock lock(mutex_);
+  // Our own group's phase-1 sub-query, with this node as its delegate.
+  // Its scan runs before mutex_ is taken and before anything is queued,
+  // so a bad local input fails initiate() with no traffic sent.
+  QueryDescriptor sub = descriptor;
+  sub.queryId = protocol::groupSubQueryId(parentId, 0);
+  sub.groupSize = 0;
   const auto now = std::chrono::steady_clock::now();
+  const std::int64_t scanStartNs =
+      options_.traceQueries ? obs::EventTracer::nowNs() : 0;
+  TopKVector input = LocalParty(*db_).localInput(sub);
+
+  std::scoped_lock lock(mutex_);
 
   // Parent entry: owns the initiator promise and tracks the two phases.
   // Its ring is this node's own group ring - the final-result
@@ -777,9 +857,11 @@ void NodeService::beginGrouped(Admission& admission,
     parent.traceCtx.traceId = obs::allocateSpanId();
     parent.rootSpanId = obs::allocateSpanId();
     parent.traceCtx.parentSpanId = parent.rootSpanId;
-    parent.traceStartNs = obs::EventTracer::nowNs();
+    parent.traceStartNs = scanStartNs;
   }
   const obs::TraceContext rootCtx = parent.traceCtx;
+  (void)obs::emitChildSpan(&spanFan_, rootCtx, "local_input", sub.queryId,
+                           self_, 0, scanStartNs, 0);
   mergeParents_[parent.mergeId] = parentId;
   active_.emplace(parentId, std::move(parent));
   metrics_.initiated.inc();
@@ -788,20 +870,17 @@ void NodeService::beginGrouped(Admission& admission,
   // Phase-1 fan-out: hand each remote group's announce straight to its
   // delegate, which forwards it and opens the ring (delegated start).
   for (std::size_t g = 1; g < layout.groups.size(); ++g) {
-    QueryDescriptor sub = descriptor;
-    sub.queryId = protocol::groupSubQueryId(parentId, g);
-    sub.groupSize = 0;
+    QueryDescriptor remote = descriptor;
+    remote.queryId = protocol::groupSubQueryId(parentId, g);
+    remote.groupSize = 0;
     out.push_back(Outbound{
-        sub.queryId,
-        net::encodeMessage(announceFor(sub, layout.groups[g], parentId, 1,
+        remote.queryId,
+        net::encodeMessage(announceFor(remote, layout.groups[g], parentId, 1,
                                        groupSizeWire, rootCtx)),
         layout.groups[g].front(), true});
   }
 
-  // Our own group's phase-1 ring, with this node as its delegate.
-  QueryDescriptor sub = descriptor;
-  sub.queryId = protocol::groupSubQueryId(parentId, 0);
-  sub.groupSize = 0;
+  // Our own group's phase-1 ring.
   QueryState state;
   state.descriptor = sub;
   state.initiator = true;
@@ -811,10 +890,9 @@ void NodeService::beginGrouped(Admission& admission,
   state.registeredAt = now;
   state.lastActivity = now;
   state.traceCtx = rootCtx;
-  const LocalParty party(*db_);
   Rng phaseRng(protocol::groupPhaseSeed(seed_, parentId, 1));
-  buildParticipant(state, sub, layout.groups.front(),
-                   party.localInput(sub), phaseRng);
+  buildParticipant(state, sub, layout.groups.front(), std::move(input),
+                   phaseRng);
   const auto [it, inserted] = active_.emplace(sub.queryId, std::move(state));
   (void)inserted;
   metrics_.activeQueries.add(1);
@@ -870,13 +948,13 @@ void NodeService::beginRounds(QueryState& state, std::vector<Outbound>& out) {
 // ---------------------------------------------------------------------------
 // Message handlers (mutex_ held).
 
-void NodeService::handleMessage(NodeId from, const net::Message& message,
-                                std::int64_t queueNs,
-                                std::vector<Outbound>& out,
-                                std::deque<Completion>& done) {
+std::optional<NodeService::PendingScan> NodeService::handleMessage(
+    NodeId from, const net::Message& message, std::int64_t queueNs,
+    std::vector<Outbound>& out, std::deque<Completion>& done) {
   if (const auto* announce = std::get_if<net::QueryAnnounce>(&message)) {
-    onAnnounce(*announce, queueNs, out, done);
-  } else if (const auto* token = std::get_if<net::RoundToken>(&message)) {
+    return onAnnounce(*announce, queueNs, out);
+  }
+  if (const auto* token = std::get_if<net::RoundToken>(&message)) {
     onRoundToken(from, *token, queueNs, out, done);
   } else if (const auto* sum = std::get_if<net::SumToken>(&message)) {
     onSumToken(from, *sum, queueNs, out, done);
@@ -889,15 +967,15 @@ void NodeService::handleMessage(NodeId from, const net::Message& message,
     metrics_.droppedMessages.inc();
     PRIVTOPK_LOG_WARN("service ", self_, ": ignoring unknown message");
   }
+  return std::nullopt;
 }
 
-void NodeService::onAnnounce(const net::QueryAnnounce& announce,
-                             std::int64_t queueNs, std::vector<Outbound>& out,
-                             std::deque<Completion>& done) {
-  (void)done;
+std::optional<NodeService::PendingScan> NodeService::onAnnounce(
+    const net::QueryAnnounce& announce, std::int64_t queueNs,
+    std::vector<Outbound>& out) {
   if (active_.contains(announce.queryId) ||
       completed_.contains(announce.queryId)) {
-    return;  // our own announce circled back, or a duplicate
+    return std::nullopt;  // our own announce circled back, or a duplicate
   }
   const std::int64_t t0 =
       announce.ctx.active() ? obs::EventTracer::nowNs() : 0;
@@ -918,32 +996,19 @@ void NodeService::onAnnounce(const net::QueryAnnounce& announce,
   }
   if (announce.phase == 2) {
     onMergeAnnounce(announce, descriptor, queueNs, out);
-    return;
+    return std::nullopt;
   }
+  // A descriptor this node cannot serve is dropped here, before it is
+  // registered or forwarded; the table itself is scanned after the forward.
+  LocalParty(*db_).validateSchema(descriptor);
 
   QueryState state;
   state.descriptor = descriptor;
+  state.ringOrder = announce.ringOrder;
   state.parentId = announce.parentQueryId;
   state.phase = announce.phase;
   state.registeredAt = std::chrono::steady_clock::now();
   state.lastActivity = state.registeredAt;
-
-  const LocalParty party(*db_);
-  if (descriptor.isAggregate()) {
-    state.ringOrder = announce.ringOrder;
-    state.addends = party.localAggregate(descriptor);
-  } else if (announce.phase == 1) {
-    // Grouped sub-query: the algorithm seed is a pure derivation from this
-    // node's seed and the parent id, not a draw from rng_, so grouped runs
-    // replay deterministically regardless of concurrent traffic.
-    Rng phaseRng(
-        protocol::groupPhaseSeed(seed_, announce.parentQueryId, 1));
-    buildParticipant(state, descriptor, announce.ringOrder,
-                     party.localInput(descriptor), phaseRng);
-  } else {
-    buildParticipant(state, descriptor, announce.ringOrder,
-                     party.localInput(descriptor), rng_);
-  }
 
   const auto [it, inserted] =
       active_.emplace(announce.queryId, std::move(state));
@@ -961,11 +1026,13 @@ void NodeService::onAnnounce(const net::QueryAnnounce& announce,
   forwarded.ctx = child;
   queueSend(it->second, forwarded, out);
   // Delegated start (§4.2): the coordinator handed this announce straight
-  // to the group's front node, which opens the ring.  FIFO links keep the
-  // forwarded announce ahead of the first token on every hop.
-  if (announce.phase == 1 && announce.ringOrder.front() == self_) {
-    beginRounds(it->second, out);
-  }
+  // to the group's front node, which opens the ring once its scan is done.
+  // FIFO links keep the forwarded announce ahead of the first token on
+  // every hop.
+  const bool delegatedStart =
+      announce.phase == 1 && announce.ringOrder.front() == self_;
+  return PendingScan{announce.queryId, descriptor, delegatedStart, child,
+                     child.active() ? obs::EventTracer::nowNs() : 0};
 }
 
 void NodeService::registerParentFollower(const net::QueryAnnounce& announce,
@@ -1061,6 +1128,9 @@ void NodeService::onRoundToken(NodeId from, const net::RoundToken& token,
   QueryState& state = it->second;
   if (state.aborted) return;
   if (!state.participant) {
+    // A grouped member's probe (see onGroupPhaseDone) reached a node that
+    // is still waiting for the final result itself.
+    if (state.isParent) return;
     // A round token for an aggregate query is hostile or confused traffic.
     metrics_.droppedMessages.inc();
     PRIVTOPK_LOG_WARN("service ", self_, ": round token for non-ring query ",
@@ -1283,7 +1353,8 @@ void NodeService::replayStashed(std::uint64_t parentId,
       // The stash does not record senders; no ring contains the sentinel,
       // so a replayed message can never trigger a completed-result reply
       // (its query is live - the stash dies with the parent otherwise).
-      handleMessage(kNoSender, message, 0, out, done);
+      // Only merge traffic is stashed, and it never needs a table scan.
+      (void)handleMessage(kNoSender, message, 0, out, done);
     } catch (const Error& e) {
       metrics_.droppedMessages.inc();
       PRIVTOPK_LOG_WARN("service ", self_, ": dropped stashed message: ",
@@ -1303,6 +1374,15 @@ void NodeService::onGroupPhaseDone(
   metrics_.groupPhaseMs.observe(elapsedMsSince(startedAt));
   parent.groupRaw = std::move(raw);
   parent.lastActivity = std::chrono::steady_clock::now();
+  if (!parent.isDelegate) {
+    // A member now only waits for the final result, with nothing of its
+    // own to retransmit.  Arm a probe instead: a group-ring successor that
+    // already retired the query answers it with the stored result
+    // (replayCompletedResult), so a lost dissemination hop is recovered at
+    // the retransmission deadline rather than by the stale GC.
+    parent.lastMessage =
+        net::encodeMessage(net::RoundToken{parentId, 0, {}, {}});
+  }
   // Phase span covering this node's whole group ring run; subsequent
   // merge-phase spans chain off it.
   parent.traceCtx =

@@ -4,9 +4,12 @@
 // A real organization runs one service bound to its private database and
 // its transport endpoint; the service
 //
-//   * answers QueryAnnounce messages by building the protocol state for
-//     the announced query from the LOCAL database (schema-validated) and
-//     forwarding the announce around the ring;
+//   * answers QueryAnnounce messages by validating the descriptor against
+//     the LOCAL schema, registering the query and forwarding the announce
+//     around the ring FIRST, then scanning the local table outside the
+//     service lock and building the protocol state from it - so the n
+//     table scans of one query overlap instead of running in series on
+//     its critical path;
 //   * demultiplexes RoundToken / SumToken / ResultAnnouncement traffic by
 //     query id, so any number of queries - with any mix of initiators -
 //     can be in flight concurrently over one transport;
@@ -35,9 +38,10 @@
 //     this node merely participated in;
 //   * participates in distributed tracing (docs/OBSERVABILITY.md): when an
 //     inbound message carries an active obs::TraceContext the service and
-//     its core participant emit child spans (announce_handled, ring_round,
-//     sum_pass, group_phase, merge_phase, repair, result_dissemination)
-//     through obs::emitChildSpan, and the initiator a root "query" span.
+//     its core participant emit child spans (announce_handled, local_input,
+//     ring_round, sum_pass, group_phase, merge_phase, repair,
+//     result_dissemination) through obs::emitChildSpan, and the initiator
+//     a root "query" span.
 //     Spans are the only trace output: they land in a bounded span ring
 //     buffer and the global EventTracer JSON-lines stream, and the child
 //     context is stamped onto every message forwarded, so a whole
@@ -50,9 +54,12 @@
 // TcpTransport guarantee this), so a query's announce always arrives
 // before its first round token - including delegated-start group rings,
 // where the delegate forwards the announce before emitting its first
-// token.  Retransmission can introduce duplicates; they are suppressed by
-// per-query round tracking.  Malformed or unknown traffic is logged and
-// dropped - a hostile peer cannot take the service down.
+// token.  The announce's work item keeps the query's key busy through the
+// local scan that follows the forward, so the round-1 token waits in the
+// keyed run queue until the protocol state exists.  Retransmission can
+// introduce duplicates; they are suppressed by per-query round tracking.
+// Malformed or unknown traffic is logged and dropped - a hostile peer
+// cannot take the service down.
 
 #pragma once
 
@@ -233,7 +240,7 @@ class NodeService {
     /// Ring for AGGREGATE queries and grouped PARENT entries (the parent's
     /// ring is this node's group ring, the final-result dissemination
     /// path); ring queries track theirs inside the core participant (see
-    /// ringOf()).
+    /// ringOf()) and keep it here only until the local scan has built it.
     std::vector<NodeId> ringOrder;
     bool initiator = false;
 
@@ -353,6 +360,21 @@ class NodeService {
 
   using WorkItem = std::variant<Inbound, Admission>;
 
+  /// A local table scan that onAnnounce hands back: runWorkItem flushes
+  /// the forwarded announce, runs the scan with no lock held and then
+  /// builds the query's protocol state from it (see runScan).
+  struct PendingScan {
+    std::uint64_t queryId = 0;
+    QueryDescriptor descriptor;
+    /// Delegated start (§4.2): this node opens the group ring once its
+    /// state exists.
+    bool delegatedStart = false;
+    /// Context the "local_input" span chains off (inactive = untraced),
+    /// and when the scan was handed back (its queue wait).
+    obs::TraceContext ctx;
+    std::int64_t handedBackNs = 0;
+  };
+
   // Threads.
   void receiveLoop();
   void dispatchLoop();
@@ -366,21 +388,28 @@ class NodeService {
   void admitPending();
   void releaseInflightSlot();
 
-  /// Processes one work item: handle/initiate, flush sends, apply
-  /// completions (which may queue more sends) until quiescent.
+  /// Processes one work item: handle/initiate, flush sends, run a pending
+  /// local scan, apply completions (which may queue more sends) until
+  /// quiescent.
   void runWorkItem(std::uint64_t key, WorkItem& item);
+  /// Runs `scan` outside mutex_, then takes it to build the query's
+  /// protocol state (and open a delegated-start ring).  A failed scan
+  /// aborts the query on this node.  mutex_ must NOT be held.
+  void runScan(const PendingScan& scan, std::vector<Outbound>& out);
 
   /// Stale-query GC + retransmission deadlines + aborted-query sweep.
   void maintain();
 
   // Message handlers.  mutex_ held; sends are queued on `out`, finished
-  // queries on `done`.  `queueNs` is the scheduler queue wait of the
-  // message being handled (recorded on emitted spans; 0 for replays).
-  void handleMessage(NodeId from, const net::Message& message,
-                     std::int64_t queueNs, std::vector<Outbound>& out,
-                     std::deque<Completion>& done);
-  void onAnnounce(const net::QueryAnnounce& announce, std::int64_t queueNs,
-                  std::vector<Outbound>& out, std::deque<Completion>& done);
+  // queries on `done`, and an announce that needs this node's table
+  // scanned hands the scan back.  `queueNs` is the scheduler queue wait of
+  // the message being handled (recorded on emitted spans; 0 for replays).
+  [[nodiscard]] std::optional<PendingScan> handleMessage(
+      NodeId from, const net::Message& message, std::int64_t queueNs,
+      std::vector<Outbound>& out, std::deque<Completion>& done);
+  [[nodiscard]] std::optional<PendingScan> onAnnounce(
+      const net::QueryAnnounce& announce, std::int64_t queueNs,
+      std::vector<Outbound>& out);
   void onMergeAnnounce(const net::QueryAnnounce& announce,
                        const QueryDescriptor& descriptor, std::int64_t queueNs,
                        std::vector<Outbound>& out);

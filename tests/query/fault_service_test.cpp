@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 
 #include "data/generator.hpp"
@@ -175,6 +176,63 @@ TEST(NodeServiceFaults, DroppedAnnounceIsRetransmitted) {
   auto future = cluster.services[0]->initiate(descriptor(2), fullRing(3));
   ASSERT_EQ(future.wait_for(20s), std::future_status::ready);
   EXPECT_EQ(future.get(), survivorsTopK(cluster.dbs, {0, 1, 2}, 3));
+}
+
+/// Drops the first ResultAnnouncement for `queryId` that any node sends.
+class DropFirstResult final : public net::Transport {
+ public:
+  DropFirstResult(net::Transport& inner, std::uint64_t queryId)
+      : inner_(inner), queryId_(queryId) {}
+
+  void send(NodeId from, NodeId to, const Bytes& payload) override {
+    const net::Message message = net::decodeMessage(payload);
+    const auto* result = std::get_if<net::ResultAnnouncement>(&message);
+    if (result != nullptr && result->queryId == queryId_ &&
+        !dropped_.exchange(true)) {
+      return;
+    }
+    inner_.send(from, to, payload);
+  }
+  std::optional<net::Envelope> receive(
+      NodeId node, std::chrono::milliseconds timeout) override {
+    return inner_.receive(node, timeout);
+  }
+  void shutdown() override { inner_.shutdown(); }
+  [[nodiscard]] bool dropped() const { return dropped_.load(); }
+
+ private:
+  net::Transport& inner_;
+  std::uint64_t queryId_;
+  std::atomic<bool> dropped_{false};
+};
+
+TEST(NodeServiceFaults, DroppedGroupResultIsReplayedToWaitingMembers) {
+  // A grouped query's final result circles each group ring under the
+  // parent id.  Losing its first hop strands the members behind it, which
+  // have nothing of their own to retransmit; their probes must fetch the
+  // result from a peer that already retired the query, well before the
+  // 30-s stale GC.
+  const auto dbs = makeFleet(9, 41);
+  net::InProcTransport inner(9);
+  DropFirstResult transport(inner, /*queryId=*/7);
+  std::vector<std::unique_ptr<NodeService>> services;
+  for (std::size_t i = 0; i < 9; ++i) {
+    services.push_back(std::make_unique<NodeService>(
+        static_cast<NodeId>(i), dbs[i], transport, 900 + i, fastOptions()));
+    services.back()->start();
+  }
+  QueryDescriptor d = descriptor(7);
+  d.groupSize = 3;
+  auto future = services[0]->initiate(d, fullRing(9));
+  ASSERT_EQ(future.wait_for(20s), std::future_status::ready);
+  const TopKVector expected = survivorsTopK(dbs, fullRing(9), 3);
+  EXPECT_EQ(future.get(), expected);
+  EXPECT_TRUE(transport.dropped());
+  for (auto& service : services) {
+    EXPECT_EQ(service->waitFor(7, 5000ms), expected);
+  }
+  for (auto& s : services) s->stop();
+  transport.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ struct Cluster {
   std::unique_ptr<net::InProcTransport> transport;
   std::vector<std::unique_ptr<NodeService>> services;
 
-  explicit Cluster(std::size_t n, std::uint64_t seed = 1) {
+  /// `poisoned` names a node given a value above the public domain: its
+  /// schema is valid, but scanning its table fails.
+  explicit Cluster(std::size_t n, std::uint64_t seed = 1,
+                   ServiceOptions options = {},
+                   std::optional<NodeId> poisoned = std::nullopt) {
     data::FleetSpec spec;
     spec.nodes = n;
     spec.rowsPerNode = 12;
@@ -29,10 +33,15 @@ struct Cluster {
     spec.attribute = "revenue";
     Rng rng(seed);
     dbs = data::generateFleet(spec, rng);
+    if (poisoned) {
+      const data::Cell id{std::string("poison")};
+      const data::Cell value{Value{spec.domain.max + 1}};
+      dbs[*poisoned].table("sales").appendRow({id, value});
+    }
     transport = std::make_unique<net::InProcTransport>(n);
     for (std::size_t i = 0; i < n; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], *transport, 100 + i));
+          static_cast<NodeId>(i), dbs[i], *transport, 100 + i, options));
       services.back()->start();
     }
   }
@@ -212,6 +221,50 @@ TEST(NodeService, StaleQueriesGarbageCollected) {
   EXPECT_EQ(service.activeQueries(), 0u);
   service.stop();
   transport.shutdown();
+}
+
+TEST(NodeService, FollowerScanFailureStillForwardsAndIsCollected) {
+  ServiceOptions options;
+  options.staleAfter = 300ms;
+  Cluster cluster(4, /*seed=*/1, options, /*poisoned=*/2);
+  auto future = cluster.services[0]->initiate(descriptor(80), {0, 1, 2, 3});
+
+  // Node 2 forwards the announce before it scans, so its successor
+  // registers the query even though node 2's own scan fails.
+  bool successorRegistered = false;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (!successorRegistered && std::chrono::steady_clock::now() < deadline) {
+    successorRegistered = cluster.services[3]->activeQueries() > 0;
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(successorRegistered);
+
+  // The ring cannot run without node 2's input: the stale GC fails the
+  // initiator and reclaims every node's state.
+  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+  EXPECT_THROW((void)future.get(), TransportError);
+  for (auto& service : cluster.services) {
+    while (service->activeQueries() > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(service->activeQueries(), 0u);
+  }
+}
+
+TEST(NodeService, InitiatorScanFailureSendsNothing) {
+  Cluster cluster(9, /*seed=*/1, {}, /*poisoned=*/0);
+  const std::vector<NodeId> ring = cluster.ringFrom(0);
+  QueryDescriptor grouped = descriptor(82);
+  grouped.groupSize = 3;
+  for (const QueryDescriptor& d : {descriptor(81), grouped}) {
+    const std::size_t sentBefore = cluster.transport->messagesSent();
+    auto future = cluster.services[0]->initiate(d, ring);
+    ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+    EXPECT_THROW((void)future.get(), ConfigError) << d.queryId;
+    EXPECT_EQ(cluster.transport->messagesSent(), sentBefore) << d.queryId;
+    EXPECT_EQ(cluster.services[0]->activeQueries(), 0u) << d.queryId;
+  }
 }
 
 TEST(NodeService, CaptureTracesRecordsThisNodesSteps) {

@@ -164,6 +164,29 @@ TEST(ServiceTrace, FlatQueryTraceHasRoundPerRing) {
   EXPECT_FALSE(timeline.phases.contains("group_phase"));
 }
 
+TEST(ServiceTrace, EveryNodeEmitsOneLocalInputSpan) {
+  TracedCluster cluster(5, tracedOptions());
+  QueryDescriptor d = groupedDescriptor(6);
+  d.groupSize = 0;
+  auto future = cluster.services[0]->initiate(d, cluster.ring());
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  (void)future.get();
+  cluster.drain();
+
+  const auto all = cluster.allSpans();
+  const auto traceIds = obs::traceIdsForQuery(all, 6);
+  ASSERT_EQ(traceIds.size(), 1u);
+  const obs::TraceTimeline timeline = obs::buildTimeline(all, traceIds[0]);
+  EXPECT_TRUE(timeline.orphanSpanIds.empty()) << obs::renderTimeline(timeline);
+  // Each node scans its table exactly once per query: the initiator before
+  // it announces, every follower after forwarding the announce.
+  std::vector<int> scansPerNode(5, 0);
+  for (const auto& entry : timeline.spans) {
+    if (entry.span.name == "local_input") ++scansPerNode.at(entry.span.node);
+  }
+  EXPECT_EQ(scansPerNode, std::vector<int>(5, 1));
+}
+
 TEST(ServiceTrace, TracingOffRecordsNothing) {
   ServiceOptions options;
   options.spanRingCapacity = 1024;  // buffer exists, but no contexts flow
