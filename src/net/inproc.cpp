@@ -35,32 +35,54 @@ void InProcTransport::send(NodeId from, NodeId to, const Bytes& payload) {
     throw TransportError("InProcTransport: unknown destination " +
                          std::to_string(to));
   }
-  if (maxQueueDepth_ > 0 && mailboxes_[to].queue.size() >= maxQueueDepth_) {
+  Mailbox& box = mailboxes_[to];
+  if (!box.pushing && maxQueueDepth_ > 0 &&
+      box.queue.size() >= maxQueueDepth_) {
     throw OverloadError("InProcTransport: mailbox " + std::to_string(to) +
-                            " is full (" +
-                            std::to_string(mailboxes_[to].queue.size()) +
+                            " is full (" + std::to_string(box.queue.size()) +
                             " envelopes)",
                         std::chrono::milliseconds(1));
   }
-  Mailbox& box = mailboxes_[to];
-  box.queue.push_back(Envelope{from, to, payload});
   ++messagesSent_;
   bytesSent_ += payload.size();
   metricMessagesSent_.inc();
   metricBytesSent_.inc(payload.size());
+  if (box.pushing) {
+    lock.unlock();
+    push(box, Envelope{from, to, payload});
+    return;
+  }
+  box.queue.push_back(Envelope{from, to, payload});
   metricQueueDepth_.add(1);
   lock.unlock();
   box.cv.notify_one();
 }
 
+void InProcTransport::push(Mailbox& box, Envelope&& env) {
+  std::scoped_lock deliver(box.deliverMutex);
+  if (box.handler) {
+    countReceived(env);
+    box.handler(std::move(env));
+    return;
+  }
+  {
+    std::scoped_lock lock(mutex_);
+    if (shutdown_) return;
+    box.queue.push_back(std::move(env));
+    metricQueueDepth_.add(1);
+  }
+  box.cv.notify_one();
+}
+
+void InProcTransport::countReceived(const Envelope& env) {
+  metricMessagesReceived_.inc();
+  metricBytesReceived_.inc(env.payload.size());
+}
+
 std::optional<Envelope> InProcTransport::receive(
     NodeId node, std::chrono::milliseconds timeout) {
   std::unique_lock lock(mutex_);
-  if (node >= mailboxes_.size()) {
-    throw TransportError("InProcTransport: unknown node " +
-                         std::to_string(node));
-  }
-  auto& box = mailboxes_[node];
+  auto& box = mailboxOf(node);
   const bool ready = box.cv.wait_for(lock, timeout, [&] {
     return shutdown_ || !box.queue.empty();
   });
@@ -71,9 +93,49 @@ std::optional<Envelope> InProcTransport::receive(
   Envelope env = std::move(box.queue.front());
   box.queue.pop_front();
   metricQueueDepth_.sub(1);
-  metricMessagesReceived_.inc();
-  metricBytesReceived_.inc(env.payload.size());
+  countReceived(env);
   return env;
+}
+
+void InProcTransport::subscribe(NodeId node, DeliveryHandler handler) {
+  Mailbox* box = &mailboxOf(node);
+  std::scoped_lock deliver(box->deliverMutex);
+  if (box->handler) {
+    throw TransportError("InProcTransport: node " + std::to_string(node) +
+                         " is already subscribed");
+  }
+  // Hand the backlog over first.  Sends that land meanwhile still queue
+  // behind it; only once the mailbox is empty do they switch to pushing,
+  // and those block on deliverMutex until the handler is installed.
+  while (true) {
+    std::deque<Envelope> backlog;
+    {
+      std::scoped_lock lock(mutex_);
+      if (box->queue.empty()) {
+        box->pushing = true;
+        break;
+      }
+      backlog.swap(box->queue);
+      metricQueueDepth_.sub(static_cast<std::int64_t>(backlog.size()));
+    }
+    for (Envelope& env : backlog) {
+      countReceived(env);
+      handler(std::move(env));
+    }
+  }
+  box->handler = std::move(handler);
+}
+
+void InProcTransport::unsubscribe(NodeId node) {
+  Mailbox* box = &mailboxOf(node);
+  {
+    std::scoped_lock lock(mutex_);
+    box->pushing = false;
+  }
+  // Waits out a handler call in progress; a send that saw `pushing` and
+  // arrives after this finds no handler and queues instead.
+  std::scoped_lock deliver(box->deliverMutex);
+  box->handler = nullptr;
 }
 
 void InProcTransport::shutdown() {
@@ -92,6 +154,14 @@ void InProcTransport::shutdown() {
   }
   shutdown_ = true;
   for (auto& box : mailboxes_) box.cv.notify_all();
+}
+
+InProcTransport::Mailbox& InProcTransport::mailboxOf(NodeId node) {
+  if (node >= mailboxes_.size()) {
+    throw TransportError("InProcTransport: unknown node " +
+                         std::to_string(node));
+  }
+  return mailboxes_[node];
 }
 
 std::size_t InProcTransport::messagesSent() const {

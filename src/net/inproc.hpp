@@ -1,6 +1,11 @@
 // In-process transport: per-node FIFO mailboxes guarded by one mutex, each
 // with its own condition variable so a send wakes only the addressee's
 // receiver.  Delivery is instantaneous and ordered per sender.
+// A subscribed node skips the mailbox: send() calls its handler on the
+// sending thread, after releasing the mailbox mutex, so a message reaches
+// the addressee with no thread hand-off at all.  Handler calls for one
+// node are serialized, and a sender's next send starts only after its
+// previous handler call returned, which keeps per-link FIFO order.
 // An optional per-mailbox depth cap turns a send to a saturated node into
 // OverloadError, matching the TCP transport's write-queue backpressure so
 // the transport-conformance suite can exercise both the same way.
@@ -34,6 +39,10 @@ class InProcTransport final : public Transport {
 
   void shutdown() override;
 
+  /// Native push: send() calls the handler on the sender's thread.
+  void subscribe(NodeId node, DeliveryHandler handler) override;
+  void unsubscribe(NodeId node) override;
+
   /// Messages ever sent (all nodes) - convenient for cost accounting.
   [[nodiscard]] std::size_t messagesSent() const;
   /// Payload bytes ever sent.
@@ -41,9 +50,23 @@ class InProcTransport final : public Transport {
 
  private:
   struct Mailbox {
-    std::deque<Envelope> queue;
+    std::deque<Envelope> queue;  // guarded by mutex_
     std::condition_variable cv;
+    /// A handler is installed: send() delivers through it instead of the
+    /// queue.  Guarded by mutex_.
+    bool pushing = false;
+    /// Held across every handler call, so calls for one node never
+    /// overlap and unsubscribe() can wait out a running one.
+    std::mutex deliverMutex;
+    DeliveryHandler handler;  // guarded by deliverMutex
   };
+
+  [[nodiscard]] Mailbox& mailboxOf(NodeId node);
+  /// Hands `env` to the addressee's handler, or queues it when the node
+  /// was unsubscribed since send() looked.
+  void push(Mailbox& box, Envelope&& env);
+  /// Counts one envelope handed to a consumer.
+  void countReceived(const Envelope& env);
 
   mutable std::mutex mutex_;
   std::vector<Mailbox> mailboxes_;

@@ -417,11 +417,40 @@ void TcpTransport::deliver(NodeId from, Bytes&& payload) {
   metricMessagesReceived_.inc();
   metricBytesReceived_.inc(payload.size());
   {
+    std::scoped_lock deliver(deliverMutex_);
+    if (handler_) {
+      handler_(Envelope{from, self_, std::move(payload)});
+      return;
+    }
     std::scoped_lock lock(inboxMutex_);
     inbox_.push_back(Envelope{from, self_, std::move(payload)});
     metricQueueDepth_.add(1);
   }
   inboxCv_.notify_all();
+}
+
+void TcpTransport::subscribe(NodeId node, DeliveryHandler handler) {
+  if (node != self_) {
+    throw TransportError("TcpTransport: can only subscribe as self");
+  }
+  std::scoped_lock deliver(deliverMutex_);
+  if (handler_) throw TransportError("TcpTransport: already subscribed");
+  // The reactor cannot deliver while we hold deliverMutex_, so the backlog
+  // reaches the handler ahead of every later frame.
+  std::deque<Envelope> backlog;
+  {
+    std::scoped_lock lock(inboxMutex_);
+    backlog.swap(inbox_);
+    metricQueueDepth_.sub(static_cast<std::int64_t>(backlog.size()));
+  }
+  for (Envelope& env : backlog) handler(std::move(env));
+  handler_ = std::move(handler);
+}
+
+void TcpTransport::unsubscribe(NodeId node) {
+  if (node != self_) return;
+  std::scoped_lock deliver(deliverMutex_);
+  handler_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@
 // is not a link failure: send() throws OverloadError (the peer is alive
 // but slow - back off and retry) and the link keeps draining.
 //
+// Delivery: with a subscriber (subscribe()), the reactor thread hands each
+// inbound frame straight to the handler, in arrival order - the one
+// thread between the socket and the consumer.  Without one, frames queue
+// in the inbox for receive().
+//
 // Inbound trust: the 4-byte hello naming the dialing node is checked
 // against the address book; connections claiming an unknown NodeId are
 // closed and counted in privtopk.transport.handshake_rejected.
@@ -114,6 +119,10 @@ class TcpTransport final : public Transport {
   [[nodiscard]] std::optional<Envelope> receive(
       NodeId node, std::chrono::milliseconds timeout) override;
   void shutdown() override;
+  /// Native push: the reactor thread calls the handler (`node` must be
+  /// this transport's own id).
+  void subscribe(NodeId node, DeliveryHandler handler) override;
+  void unsubscribe(NodeId node) override;
 
   /// The port the listener actually bound (useful with port 0 = ephemeral).
   [[nodiscard]] std::uint16_t listenPort() const { return listenPort_; }
@@ -261,9 +270,16 @@ class TcpTransport final : public Transport {
   std::map<NodeId, std::unique_ptr<OutLink>> outLinks_;  // fixed after ctor
   std::unordered_map<int, std::unique_ptr<InConn>> inConns_;  // loop only
 
+  /// Held by the reactor across each delivery (handler call or inbox
+  /// push), so subscribe() can hand the inbox backlog over without a new
+  /// frame overtaking it and unsubscribe() can wait out a running call.
+  /// Lock order: deliverMutex_ before inboxMutex_.
+  std::mutex deliverMutex_;
+  DeliveryHandler handler_;  // guarded by deliverMutex_
+
   std::mutex inboxMutex_;
   std::condition_variable inboxCv_;
-  std::deque<Envelope> inbox_;
+  std::deque<Envelope> inbox_;  // guarded by inboxMutex_
 
   std::atomic<std::size_t> messagesSent_{0};
   std::atomic<std::size_t> messagesReceived_{0};

@@ -22,19 +22,21 @@ namespace {
 
 constexpr char kService[] = "service";
 
-/// Merge traffic held per grouped query while this delegate finishes its
-/// own phase-1 run; beyond this the sender's retransmission covers us.
+/// Messages held per grouped query until this node's own phase-1 run
+/// finishes (merge traffic at a delegate, the final result at a member);
+/// beyond this the sender's retransmission covers us.
 constexpr std::size_t kStashCap = 64;
 
 /// Sender placeholder for replayed stashed messages, whose transport-level
 /// origin was not recorded.  No ring ever contains it.
 constexpr NodeId kNoSender = std::numeric_limits<NodeId>::max();
 
-/// How often the receiver runs maintenance (stale GC + retransmission).
-/// Retransmit sends can block on slow links; running maintain() on every
-/// loop pass would throttle the receive rate below the arrival rate under
-/// a retransmission storm and the backlog would never drain (observed as
-/// a congestion collapse in the concurrency soak on single-core hosts).
+/// How often a dispatch worker runs maintenance (stale GC +
+/// retransmission).  Idle workers wait at most this long, so an idle
+/// service still collects stale queries.  Retransmit sends can block on
+/// slow links; running maintain() between every pair of work items would
+/// starve the run queue under a retransmission storm (a congestion
+/// collapse in the concurrency soak on single-core hosts).
 constexpr std::chrono::milliseconds kMaintainInterval{25};
 
 double elapsedMsSince(std::chrono::steady_clock::time_point start) {
@@ -200,7 +202,15 @@ void NodeService::start() {
   bool expected = false;
   if (!running_.compare_exchange_strong(expected, true)) return;
   obs::registerProcessMetrics();
-  receiver_ = std::thread([this] { receiveLoop(); });
+  nextMaintain_.store(std::chrono::steady_clock::now() + kMaintainInterval);
+  try {
+    transport_->subscribe(self_, [this](net::Envelope&& envelope) {
+      onEnvelope(std::move(envelope));
+    });
+  } catch (...) {
+    running_.store(false);
+    throw;
+  }
   workers_.reserve(options_.workerThreads);
   for (std::size_t i = 0; i < options_.workerThreads; ++i) {
     workers_.emplace_back([this] { dispatchLoop(); });
@@ -216,8 +226,10 @@ void NodeService::stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) return;
   http_.reset();
+  // No delivery runs past this point, so nothing is enqueued behind the
+  // drain below.
+  transport_->unsubscribe(self_);
   schedCv_.notify_all();
-  if (receiver_.joinable()) receiver_.join();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -267,41 +279,44 @@ void NodeService::stop() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler: one receiver thread feeds a keyed run queue; dispatch workers
-// drain it one item per key at a time, so each query's messages apply in
-// arrival order while distinct queries progress in parallel.
+// Scheduler: the transport's delivery handler feeds a keyed run queue;
+// dispatch workers drain it one item per key at a time, so each query's
+// messages apply in arrival order while distinct queries progress in
+// parallel.  The workers also run maintenance on a timer.
 
-void NodeService::receiveLoop() {
-  auto lastMaintain = std::chrono::steady_clock::now();
-  while (running_.load()) {
-    const auto envelope = transport_->receive(self_, 50ms);
-    const auto now = std::chrono::steady_clock::now();
-    if (now - lastMaintain >= kMaintainInterval) {
-      lastMaintain = now;
-      maintain();
-    }
-    if (!envelope) continue;
-    try {
-      net::Message message = net::decodeMessage(envelope->payload);
-      const std::uint64_t key = queryIdOf(message);
-      enqueueWork(key, WorkItem{Inbound{envelope->from, std::move(message),
-                                        obs::EventTracer::nowNs()}});
-    } catch (const Error& e) {
-      // Hostile or stale traffic must not take the service down.
-      metrics_.droppedMessages.inc();
-      PRIVTOPK_LOG_WARN("service ", self_, ": dropped message from ",
-                        envelope->from, ": ", e.what());
-    }
+void NodeService::onEnvelope(net::Envelope&& envelope) {
+  try {
+    net::Message message = net::decodeMessage(envelope.payload);
+    const std::uint64_t key = queryIdOf(message);
+    enqueueWork(key, WorkItem{Inbound{envelope.from, std::move(message),
+                                      obs::EventTracer::nowNs()}});
+  } catch (const Error& e) {
+    // Hostile or stale traffic must not take the service down.
+    metrics_.droppedMessages.inc();
+    PRIVTOPK_LOG_WARN("service ", self_, ": dropped message from ",
+                      envelope.from, ": ", e.what());
   }
 }
 
 void NodeService::dispatchLoop() {
-  while (true) {
+  while (running_.load()) {
+    maintainIfDue();
     auto work = popWork();
-    if (!work) return;
+    if (!work) continue;
     runWorkItem(work->first, work->second);
     finishKey(work->first);
   }
+}
+
+void NodeService::maintainIfDue() {
+  const auto now = std::chrono::steady_clock::now();
+  auto due = nextMaintain_.load();
+  if (now < due) return;
+  // Another worker that saw the same deadline loses this exchange.
+  if (!nextMaintain_.compare_exchange_strong(due, now + kMaintainInterval)) {
+    return;
+  }
+  maintain();
 }
 
 void NodeService::enqueueWork(std::uint64_t key, WorkItem item) {
@@ -338,7 +353,7 @@ void NodeService::releaseInflightSlot() {
 std::optional<std::pair<std::uint64_t, NodeService::WorkItem>>
 NodeService::popWork() {
   std::unique_lock lock(schedMutex_);
-  while (running_.load()) {
+  for (bool waited = false; running_.load(); waited = true) {
     admitPending();
     if (!readyKeys_.empty()) {
       const std::uint64_t key = *readyKeys_.begin();
@@ -350,7 +365,8 @@ NodeService::popWork() {
       if (queue.empty()) inbox_.erase(key);
       return std::make_pair(key, std::move(item));
     }
-    schedCv_.wait_for(lock, 50ms);
+    if (waited) break;
+    schedCv_.wait_until(lock, nextMaintain_.load());
   }
   return std::nullopt;
 }
@@ -527,6 +543,11 @@ void NodeService::queueSend(QueryState& state, const net::Message& message,
 }
 
 void NodeService::flushOutbound(std::vector<Outbound>& out) {
+  // Every send below runs with no service lock held.  Keep it so: an
+  // in-process send runs the addressee's delivery handler (decode and
+  // enqueue) inline on this thread, and holding mutex_ across it would
+  // stall every query on this node behind the peer's work - or deadlock,
+  // should a handler ever need a lock that a sender holds.
   // Index loop: ring repair may append repair notifies while we iterate.
   for (std::size_t i = 0; i < out.size(); ++i) {
     // Moved, not copied: ring repair may append to (and reallocate) `out`,
@@ -849,6 +870,7 @@ void NodeService::beginGrouped(Admission& admission,
   parent.isCoordinator = true;
   parent.isDelegate = true;
   parent.mergeId = protocol::mergeQueryId(parentId);
+  parent.groupSubId = sub.queryId;
   parent.layout = layout;
   parent.promise = std::move(admission.promise);
   parent.registeredAt = now;
@@ -1049,6 +1071,7 @@ void NodeService::registerParentFollower(const net::QueryAnnounce& announce,
   parent.isParent = true;
   parent.isDelegate = announce.ringOrder.front() == self_;
   parent.mergeId = protocol::mergeQueryId(parentId);
+  parent.groupSubId = announce.queryId;
   parent.registeredAt = std::chrono::steady_clock::now();
   parent.lastActivity = parent.registeredAt;
   mergeParents_[parent.mergeId] = parentId;
@@ -1078,12 +1101,7 @@ void NodeService::onMergeAnnounce(const net::QueryAnnounce& announce,
   if (!parent.groupRaw) {
     // Our own group has not finished phase 1 yet; hold the announce until
     // the group result (this delegate's merge-ring input) exists.
-    auto& stash = stashed_[announce.parentQueryId];
-    if (stash.size() >= kStashCap) {
-      metrics_.droppedMessages.inc();
-      return;
-    }
-    stash.push_back(net::Message{announce});
+    stash(announce.parentQueryId, net::Message{announce});
     return;
   }
 
@@ -1247,6 +1265,18 @@ void NodeService::onResult(const net::ResultAnnouncement& result,
     done.push_back(Completion{result.queryId, state.participant->result()});
     return;
   }
+  if (state.isParent && !state.groupRaw) {
+    // The final result overtook this member's own phase-1 result: the two
+    // are different keys of the run queue.  Hold it until the phase-1
+    // hand-off (onGroupPhaseDone replays it), so the group phase is
+    // recorded before the parent retires.  A phase-1 entry that is gone
+    // (collected) or aborted will never hand off: apply the result now.
+    const auto sub = active_.find(state.groupSubId);
+    if (sub != active_.end() && !sub->second.aborted) {
+      stash(result.queryId, net::Message{result});
+      return;
+    }
+  }
   // Aggregate follower, or a grouped parent receiving the disseminated
   // final result on its group ring: forward once before completing.
   const std::int64_t t0 = result.ctx.active() ? obs::EventTracer::nowNs() : 0;
@@ -1330,13 +1360,17 @@ bool NodeService::maybeStashMergeTraffic(std::uint64_t queryId,
   if (parentRef == mergeParents_.end()) return false;
   const auto parentIt = active_.find(parentRef->second);
   if (parentIt == active_.end() || !parentIt->second.isParent) return false;
-  auto& stash = stashed_[parentRef->second];
-  if (stash.size() >= kStashCap) {
-    metrics_.droppedMessages.inc();
-    return true;
-  }
-  stash.push_back(message);
+  stash(parentRef->second, message);
   return true;
+}
+
+void NodeService::stash(std::uint64_t parentId, net::Message message) {
+  auto& pending = stashed_[parentId];
+  if (pending.size() >= kStashCap) {
+    metrics_.droppedMessages.inc();
+    return;
+  }
+  pending.push_back(std::move(message));
 }
 
 void NodeService::replayStashed(std::uint64_t parentId,
@@ -1353,7 +1387,8 @@ void NodeService::replayStashed(std::uint64_t parentId,
       // The stash does not record senders; no ring contains the sentinel,
       // so a replayed message can never trigger a completed-result reply
       // (its query is live - the stash dies with the parent otherwise).
-      // Only merge traffic is stashed, and it never needs a table scan.
+      // Only merge traffic and final results are stashed; neither needs a
+      // table scan.
       (void)handleMessage(kNoSender, message, 0, out, done);
     } catch (const Error& e) {
       metrics_.droppedMessages.inc();

@@ -20,14 +20,17 @@
 //     the initiator partitions the ring into group rings that run phase-1
 //     sub-queries in parallel, then merges the group results over a
 //     randomly-delegated phase-2 ring (docs/PROTOCOL.md §6);
-//   * schedules work on a small pool: one receiver thread decodes and
-//     enqueues, workerThreads dispatcher threads drain a keyed run queue
-//     (per-query FIFO order is preserved; distinct queries - including
-//     the group rings of one grouped query - progress in parallel), and
-//     initiations pass through a bounded admission queue with an
-//     in-flight cap (initiate() throws OverloadError - with a retry-after
-//     hint - when the queue is full, distinguishable from a dead link's
-//     TransportError);
+//   * schedules work on a small pool: the transport's delivery handler
+//     (net::Transport::subscribe - the TCP reactor, or an in-process
+//     sender) decodes each envelope straight into a keyed run queue, and
+//     workerThreads dispatcher threads drain it (per-query FIFO order is
+//     preserved; distinct queries - including the group rings of one
+//     grouped query - progress in parallel).  The service starts exactly
+//     workerThreads threads; maintenance (stale GC, retransmission) runs
+//     on whichever worker finds its 25 ms deadline due.  Initiations pass
+//     through a bounded admission queue with an in-flight cap (initiate()
+//     throws OverloadError - with a retry-after hint - when the queue is
+//     full, distinguishable from a dead link's TransportError);
 //   * survives fail-stop peer crashes and lost tokens: every node
 //     retransmits its last outbound message when a query stalls, and a
 //     successor that keeps refusing sends is spliced out of the ring
@@ -51,13 +54,18 @@
 //     /queries and /trace/<query_id>.
 //
 // Ordering assumption: links are FIFO per sender (both InProcTransport and
-// TcpTransport guarantee this), so a query's announce always arrives
-// before its first round token - including delegated-start group rings,
-// where the delegate forwards the announce before emitting its first
-// token.  The announce's work item keeps the query's key busy through the
-// local scan that follows the forward, so the round-1 token waits in the
-// keyed run queue until the protocol state exists.  Retransmission can
-// introduce duplicates; they are suppressed by per-query round tracking.
+// TcpTransport guarantee this, for receive() and for pushed delivery
+// alike), and the delivery handler enqueues in delivery order, so a
+// query's announce always enters the run queue before its first round
+// token - including delegated-start group rings, where the delegate
+// forwards the announce before emitting its first token.  The announce's
+// work item keeps the query's key busy through the local scan that
+// follows the forward, so the round-1 token waits in the keyed run queue
+// until the protocol state exists.  Order ACROSS keys is not preserved:
+// a grouped member may see the final parent-id result before its own
+// phase-1 result, which onResult stashes until the phase-1 hand-off.
+// Retransmission can introduce duplicates; they are suppressed by
+// per-query round tracking.
 // Malformed or unknown traffic is logged and dropped - a hostile peer
 // cannot take the service down.
 
@@ -116,9 +124,10 @@ struct ServiceOptions {
   /// serves (own steps only - peers' vectors stay private).  Retrieve with
   /// traceOf(); retained traces obey completedCap like results.
   bool captureTraces = false;
-  /// Dispatcher threads draining the keyed run queue.  Messages of one
-  /// query are always processed in arrival order regardless of the count;
-  /// more threads only add cross-query parallelism.
+  /// Dispatcher threads draining the keyed run queue; the service starts
+  /// exactly this many threads of its own.  Messages of one query are
+  /// always processed in arrival order regardless of the count; more
+  /// threads only add cross-query parallelism.
   std::size_t workerThreads = 2;
   /// Initiations admitted to run concurrently from this node; the rest
   /// wait in the admission queue.
@@ -165,14 +174,16 @@ class NodeService {
   NodeService(const NodeService&) = delete;
   NodeService& operator=(const NodeService&) = delete;
 
-  /// Starts the receiver + dispatcher threads.  Idempotent.
+  /// Subscribes to the transport and starts the dispatcher threads.
+  /// Idempotent.  Throws TransportError when this node is already
+  /// subscribed on the transport (another running service).
   void start();
 
-  /// Stops the threads and drains deterministically: initiations still in
-  /// the admission queue (or admitted but not yet begun) are rejected with
-  /// TransportError, and the futures of begun-but-unfinished initiations
-  /// fail - the ring cannot progress without this node's threads.  Does
-  /// not shut the transport down.
+  /// Unsubscribes, stops the threads and drains deterministically:
+  /// initiations still in the admission queue (or admitted but not yet
+  /// begun) are rejected with TransportError, and the futures of
+  /// begun-but-unfinished initiations fail - the ring cannot progress
+  /// without this node's threads.  Does not shut the transport down.
   void stop();
 
   /// Initiates `descriptor` with this node as the starting node.
@@ -287,6 +298,9 @@ class NodeService {
     bool isDelegate = false;
     /// Expected phase-2 query id (parents only; see protocol::mergeQueryId).
     std::uint64_t mergeId = 0;
+    /// This node's own phase-1 sub-query id (parents only; see
+    /// protocol::groupSubQueryId).
+    std::uint64_t groupSubId = 0;
     /// Raw (protocol-space) phase-1 group result - the merge-ring input.
     std::optional<TopKVector> groupRaw;
     /// Full grouping, coordinator only.
@@ -353,8 +367,8 @@ class NodeService {
   struct Inbound {
     NodeId from = 0;
     net::Message message;
-    /// Receiver-thread timestamp (EventTracer::nowNs); the dispatcher
-    /// derives the scheduler queue wait recorded on spans from it.
+    /// Delivery timestamp (EventTracer::nowNs); the dispatcher derives the
+    /// scheduler queue wait recorded on spans from it.
     std::int64_t receivedAtNs = 0;
   };
 
@@ -375,12 +389,18 @@ class NodeService {
     std::int64_t handedBackNs = 0;
   };
 
-  // Threads.
-  void receiveLoop();
+  /// The transport's delivery handler: decodes and enqueues (schedMutex_
+  /// only, never mutex_).  Runs on a transport or peer sender thread.
+  void onEnvelope(net::Envelope&& envelope);
   void dispatchLoop();
+  /// Runs maintain() when its deadline is due; of the workers that find
+  /// it due, only the one that advances the deadline runs it.
+  void maintainIfDue();
 
   // Keyed run queue (schedMutex_): per-query serial, cross-query parallel.
   void enqueueWork(std::uint64_t key, WorkItem item);
+  /// Pops the next ready item, waiting until the maintenance deadline at
+  /// most; nullopt when nothing became ready or the service is stopping.
   [[nodiscard]] std::optional<std::pair<std::uint64_t, WorkItem>> popWork();
   void finishKey(std::uint64_t key);
   /// Moves queued admissions into the run queue while in-flight slots are
@@ -451,6 +471,9 @@ class NodeService {
   /// phase-1 completion; returns false when the message is not stashable.
   bool maybeStashMergeTraffic(std::uint64_t queryId,
                               const net::Message& message);
+  /// Holds `message` for replay when the grouped query's phase 1
+  /// completes here (bounded by kStashCap; overflow is dropped).
+  void stash(std::uint64_t parentId, net::Message message);
   void replayStashed(std::uint64_t parentId, std::vector<Outbound>& out,
                      std::deque<Completion>& done);
 
@@ -554,7 +577,7 @@ class NodeService {
   /// merge query id -> parent query id, for stashing merge traffic that
   /// arrives before this delegate finished its phase-1 run.
   std::map<std::uint64_t, std::uint64_t> mergeParents_;
-  /// parent query id -> merge traffic waiting for the group result.
+  /// parent query id -> traffic waiting for this node's group result.
   std::map<std::uint64_t, std::vector<net::Message>> stashed_;
 
   // Scheduler state.  Lock order: never hold mutex_ and schedMutex_
@@ -576,7 +599,8 @@ class NodeService {
   SpanFan spanFan_;
   std::unique_ptr<net::HttpServer> http_;
 
-  std::thread receiver_;
+  /// When maintain() is next due (see maintainIfDue).
+  std::atomic<std::chrono::steady_clock::time_point> nextMaintain_{};
   std::vector<std::thread> workers_;
   std::atomic<bool> running_{false};
 };

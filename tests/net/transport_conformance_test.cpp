@@ -7,11 +7,18 @@
 //     recovers once drained,
 //   - shutdown concurrent with a sending thread is clean (no hang, no
 //     crash; post-shutdown sends throw TransportError).
+// The push-delivery suite (subscribe/unsubscribe) runs over both base
+// transports, which push natively, and the fault decorator, which goes
+// through Transport's default polling pump.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <ctime>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +27,7 @@
 #include "net/inproc.hpp"
 #include "net/shaping.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 
 namespace privtopk::net {
 namespace {
@@ -198,6 +206,188 @@ TEST_P(TransportConformance, ShutdownMidSendIsClean) {
 INSTANTIATE_TEST_SUITE_P(Transports, TransportConformance,
                          ::testing::Values("inproc", "tcp", "fault",
                                            "shaping", "shaping_tcp"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// Push delivery (Transport::subscribe)
+// ---------------------------------------------------------------------------
+
+/// Gathers pushed envelopes for the test thread.
+class Collector {
+ public:
+  DeliveryHandler handler() {
+    return [this](Envelope&& env) {
+      {
+        std::scoped_lock lock(mutex_);
+        envelopes_.push_back(std::move(env));
+      }
+      cv_.notify_all();
+    };
+  }
+
+  /// Waits until `count` envelopes arrived; false on timeout.
+  bool waitFor(std::size_t count, std::chrono::milliseconds timeout) {
+    std::unique_lock lock(mutex_);
+    return cv_.wait_for(lock, timeout,
+                        [&] { return envelopes_.size() >= count; });
+  }
+
+  std::vector<Envelope> envelopes() {
+    std::scoped_lock lock(mutex_);
+    return envelopes_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<Envelope> envelopes_;  // guarded by mutex_
+};
+
+std::chrono::nanoseconds processCpuTime() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return std::chrono::seconds(ts.tv_sec) + std::chrono::nanoseconds(ts.tv_nsec);
+}
+
+class PushDelivery : public TransportConformance {
+ protected:
+  // Unsubscribing first keeps every handler call ahead of the collector's
+  // destruction, and a pump left running would poll a decorator past its
+  // destructor.
+  void TearDown() override {
+    if (inproc_ || tcp1_) node1().unsubscribe(1);
+    TransportConformance::TearDown();
+  }
+
+  Collector collector_;
+};
+
+TEST_P(PushDelivery, BacklogSentBeforeSubscribeArrivesFirstAndInOrder) {
+  makePair();
+  constexpr int kEach = 50;
+  for (int i = 0; i < kEach; ++i) {
+    node0().send(0, 1, bytesOf("pre" + std::to_string(i)));
+  }
+  if (usesTcp()) {
+    // Let the whole backlog reach node 1's inbox before subscribing.
+    for (int i = 0; i < 500 && tcp1_->messagesReceived() < kEach; ++i) {
+      std::this_thread::sleep_for(10ms);
+    }
+    ASSERT_EQ(tcp1_->messagesReceived(), static_cast<std::size_t>(kEach));
+  }
+  node1().subscribe(1, collector_.handler());
+  for (int i = 0; i < kEach; ++i) {
+    node0().send(0, 1, bytesOf("post" + std::to_string(i)));
+  }
+  ASSERT_TRUE(collector_.waitFor(2 * kEach, 5000ms));
+  const auto got = collector_.envelopes();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(2 * kEach));
+  for (int i = 0; i < 2 * kEach; ++i) {
+    const std::string want = i < kEach ? "pre" + std::to_string(i)
+                                       : "post" + std::to_string(i - kEach);
+    EXPECT_EQ(got[i].payload, bytesOf(want)) << "position " << i;
+    EXPECT_EQ(got[i].from, 0u);
+    EXPECT_EQ(got[i].to, 1u);
+  }
+}
+
+TEST_P(PushDelivery, PerLinkFifoUnderConcurrentSenders) {
+  makePair();
+  node1().subscribe(1, collector_.handler());
+  constexpr int kThreads = 4;
+  constexpr int kEach = 150;
+  std::vector<std::thread> senders;
+  for (int t = 0; t < kThreads; ++t) {
+    senders.emplace_back([&, t] {
+      for (int i = 0; i < kEach; ++i) {
+        node0().send(0, 1,
+                     bytesOf(std::to_string(t) + ":" + std::to_string(i)));
+      }
+    });
+  }
+  for (auto& sender : senders) sender.join();
+  ASSERT_TRUE(collector_.waitFor(kThreads * kEach, 10'000ms));
+  // Threads interleave, but each thread's own sends arrive in order.
+  std::map<int, int> next;
+  for (const Envelope& env : collector_.envelopes()) {
+    const std::string text(env.payload.begin(), env.payload.end());
+    const auto colon = text.find(':');
+    const int thread = std::stoi(text.substr(0, colon));
+    EXPECT_EQ(std::stoi(text.substr(colon + 1)), next[thread]++) << text;
+  }
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(next[t], kEach);
+}
+
+TEST_P(PushDelivery, NoHandlerCallAfterUnsubscribeReturns) {
+  makePair();
+  std::atomic<bool> unsubscribed{false};
+  std::atomic<int> calls{0};
+  std::atomic<int> lateCalls{0};
+  node1().subscribe(1, [&](Envelope&&) {
+    if (unsubscribed.load()) ++lateCalls;
+    ++calls;
+    std::this_thread::sleep_for(200us);  // widen the in-handler window
+    if (unsubscribed.load()) ++lateCalls;
+  });
+  std::atomic<bool> stop{false};
+  std::thread sender([&] {
+    while (!stop.load()) {
+      try {
+        node0().send(0, 1, bytesOf("tick"));
+      } catch (const OverloadError&) {
+      }
+      std::this_thread::sleep_for(100us);
+    }
+  });
+  for (int i = 0; i < 500 && calls.load() < 20; ++i) {
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_GE(calls.load(), 20);
+  node1().unsubscribe(1);
+  unsubscribed = true;
+  std::this_thread::sleep_for(50ms);
+  stop = true;
+  sender.join();
+  EXPECT_EQ(lateCalls.load(), 0);
+  // Later traffic queues for receive() again.
+  EXPECT_TRUE(node1().receive(1, 1000ms));
+}
+
+TEST_P(PushDelivery, UnsubscribeAfterShutdownIsPromptAndDoesNotSpin) {
+  makePair();
+  node1().subscribe(1, collector_.handler());
+  shutdownAll();
+  // A shut-down transport's receive() returns at once; a pump that polled
+  // it back to back would burn a core for the whole window.
+  const auto cpuBefore = processCpuTime();
+  std::this_thread::sleep_for(300ms);
+  EXPECT_LT(processCpuTime() - cpuBefore, 100ms);
+  const auto start = std::chrono::steady_clock::now();
+  node1().unsubscribe(1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
+}
+
+TEST_P(PushDelivery, MessagesReceivedCountsPushedEnvelopes) {
+  makePair();
+  const obs::Labels labels{{"transport", usesTcp() ? "tcp" : "inproc"}};
+  const auto& received =
+      obs::counter("privtopk.transport.messages_received", labels);
+  const auto& depth = obs::gauge("privtopk.transport.queue_depth", labels);
+  const std::uint64_t receivedBefore = received.value();
+  const std::int64_t depthBefore = depth.value();
+  node1().subscribe(1, collector_.handler());
+  constexpr int kMessages = 40;
+  for (int i = 0; i < kMessages; ++i) node0().send(0, 1, bytesOf("count"));
+  ASSERT_TRUE(collector_.waitFor(kMessages, 5000ms));
+  EXPECT_EQ(received.value() - receivedBefore,
+            static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(depth.value(), depthBefore);
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, PushDelivery,
+                         ::testing::Values("inproc", "tcp", "fault"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "data/generator.hpp"
 #include "net/inproc.hpp"
@@ -221,6 +225,121 @@ TEST(NodeService, StaleQueriesGarbageCollected) {
   EXPECT_EQ(service.activeQueries(), 0u);
   service.stop();
   transport.shutdown();
+}
+
+TEST(NodeService, IdleServiceCollectsStaleQueryWithNoTrafficArriving) {
+  // Only the initiator runs: its announce sits unread in node 1's mailbox,
+  // no retransmission is armed, and nothing ever arrives at node 0.
+  // Maintenance must still run on the dispatch workers' timer.
+  data::FleetSpec spec;
+  spec.nodes = 3;
+  spec.rowsPerNode = 5;
+  spec.tableName = "sales";
+  spec.attribute = "revenue";
+  Rng rng(79);
+  const auto dbs = data::generateFleet(spec, rng);
+  net::InProcTransport transport(3);
+  ServiceOptions options;
+  options.staleAfter = 200ms;
+  options.retransmitAfter = 0ms;
+  NodeService service(0, dbs[0], transport, 80, options);
+  service.start();
+
+  auto future = service.initiate(descriptor(61, QueryType::Max), {0, 1, 2});
+  ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+  EXPECT_THROW((void)future.get(), TransportError);
+  EXPECT_EQ(service.activeQueries(), 0u);
+  service.stop();
+  transport.shutdown();
+}
+
+/// Thread ids of this process.
+std::set<std::string> processThreads() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+/// Threads in `now` that were not in `before`: other threads of the test
+/// process may come and go meanwhile, so set differences, not counts.
+std::size_t newThreads(const std::set<std::string>& before,
+                       const std::set<std::string>& now) {
+  return static_cast<std::size_t>(std::count_if(
+      now.begin(), now.end(),
+      [&](const std::string& id) { return !before.contains(id); }));
+}
+
+/// Free localhost ports for an n-node TCP fleet.
+std::vector<net::TcpPeer> loopbackPeers(std::size_t n) {
+  std::vector<net::TcpPeer> peers;
+  std::vector<std::unique_ptr<net::TcpTransport>> probes;
+  for (std::size_t i = 0; i < n; ++i) {
+    probes.push_back(std::make_unique<net::TcpTransport>(
+        0, std::vector<net::TcpPeer>{{0, "127.0.0.1", 0}}));
+    peers.push_back(net::TcpPeer{static_cast<NodeId>(i), "127.0.0.1",
+                                 probes.back()->listenPort()});
+  }
+  for (auto& p : probes) p->shutdown();
+  return peers;
+}
+
+TEST(NodeService, StartAddsExactlyTheWorkerThreads) {
+  // Transports push envelopes into the run queue, so a service owns its
+  // dispatch workers and nothing else: no receiver thread, no poll loop.
+  // The count is taken with the transports already up (TCP's reactor
+  // threads are the transport's, not the service's).
+  constexpr std::size_t kNodes = 3;
+  ServiceOptions options;
+  options.workerThreads = 3;
+  data::FleetSpec spec;
+  spec.nodes = kNodes;
+  spec.rowsPerNode = 8;
+  spec.tableName = "sales";
+  spec.attribute = "revenue";
+  Rng rng(81);
+  const auto dbs = data::generateFleet(spec, rng);
+  const TopKVector expected =
+      data::trueTopK(data::fleetValues(dbs, "sales", "revenue"), 3);
+
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp" : "inproc");
+    std::unique_ptr<net::InProcTransport> inproc;
+    std::vector<std::unique_ptr<net::TcpTransport>> sockets;
+    std::vector<net::Transport*> endpoints;
+    if (tcp) {
+      const auto peers = loopbackPeers(kNodes);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        sockets.push_back(std::make_unique<net::TcpTransport>(
+            static_cast<NodeId>(i), peers));
+        endpoints.push_back(sockets.back().get());
+      }
+    } else {
+      inproc = std::make_unique<net::InProcTransport>(kNodes);
+      endpoints.assign(kNodes, inproc.get());
+    }
+    std::vector<std::unique_ptr<NodeService>> services;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      services.push_back(std::make_unique<NodeService>(
+          static_cast<NodeId>(i), dbs[i], *endpoints[i], 400 + i, options));
+    }
+
+    const auto before = processThreads();
+    for (auto& s : services) s->start();
+    EXPECT_EQ(newThreads(before, processThreads()),
+              kNodes * options.workerThreads);
+
+    auto future = services[0]->initiate(descriptor(62), {0, 1, 2});
+    ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+    EXPECT_EQ(future.get(), expected);
+
+    for (auto& s : services) s->stop();
+    EXPECT_EQ(newThreads(before, processThreads()), 0u);
+    if (inproc) inproc->shutdown();
+    for (auto& t : sockets) t->shutdown();
+  }
 }
 
 TEST(NodeService, FollowerScanFailureStillForwardsAndIsCollected) {

@@ -6,17 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "data/generator.hpp"
 #include "net/http.hpp"
 #include "net/inproc.hpp"
+#include "net/message.hpp"
 #include "obs/trace_view.hpp"
+#include "protocol/group.hpp"
 #include "query/service.hpp"
 
 namespace privtopk::query {
@@ -25,11 +33,17 @@ namespace {
 using namespace std::chrono_literals;
 
 struct TracedCluster {
+  using Wrap =
+      std::function<std::unique_ptr<net::Transport>(net::Transport& inner)>;
+
   std::vector<data::PrivateDatabase> dbs;
   std::unique_ptr<net::InProcTransport> transport;
+  /// Optional decorator every service talks through (see `wrap`).
+  std::unique_ptr<net::Transport> wrapper;
   std::vector<std::unique_ptr<NodeService>> services;
 
-  explicit TracedCluster(std::size_t n, ServiceOptions options) {
+  explicit TracedCluster(std::size_t n, ServiceOptions options,
+                         const Wrap& wrap = {}) {
     data::FleetSpec spec;
     spec.nodes = n;
     spec.rowsPerNode = 12;
@@ -38,9 +52,11 @@ struct TracedCluster {
     Rng rng(7);
     dbs = data::generateFleet(spec, rng);
     transport = std::make_unique<net::InProcTransport>(n);
+    if (wrap) wrapper = wrap(*transport);
+    net::Transport& endpoint = wrapper ? *wrapper : *transport;
     for (std::size_t i = 0; i < n; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], *transport, 500 + i, options));
+          static_cast<NodeId>(i), dbs[i], endpoint, 500 + i, options));
       services.back()->start();
     }
   }
@@ -143,6 +159,111 @@ TEST(ServiceTrace, GroupedNineNodeQueryYieldsOneMergedTimeline) {
   // handshake assumption shifts follower spans slightly, so exact
   // bracketing is not guaranteed even on one in-process clock).
   EXPECT_GE(timeline.phases.at("query").computeNs, timeline.totalNs / 2);
+}
+
+/// Forces the cross-key race of a grouped member: the first phase-1
+/// ResultAnnouncement (a delegate to the next member of its group ring) is
+/// held back until the final parent-id result has been handed to that
+/// member, and is then released once the member completed the parent or
+/// after a grace period, whichever comes first.  Poll-only: services
+/// reach it through the default subscribe pump.
+class HoldGroupResultUntilFinal final : public net::Transport {
+ public:
+  HoldGroupResultUntilFinal(net::Transport& inner, std::uint64_t parentId,
+                            std::size_t groups)
+      : inner_(inner), parentId_(parentId) {
+    for (std::size_t g = 0; g < groups; ++g) {
+      phaseOneIds_.push_back(protocol::groupSubQueryId(parentId, g));
+    }
+  }
+
+  /// Tells whether `node` already retired the parent query.
+  void watch(std::function<bool(NodeId)> parentDone) {
+    parentDone_ = std::move(parentDone);
+  }
+
+  void send(NodeId from, NodeId to, const Bytes& payload) override {
+    const net::Message message = net::decodeMessage(payload);
+    const auto* result = std::get_if<net::ResultAnnouncement>(&message);
+    if (result == nullptr) return inner_.send(from, to, payload);
+    std::unique_lock lock(mutex_);
+    if (!holding_ && !released_ && isPhaseOne(result->queryId)) {
+      holding_ = true;
+      held_ = net::Envelope{from, to, payload};
+      return;
+    }
+    if (!holding_ || result->queryId != parentId_ || to != held_.to) {
+      lock.unlock();
+      return inner_.send(from, to, payload);
+    }
+    holding_ = false;
+    const net::Envelope held = std::move(held_);
+    lock.unlock();
+    inner_.send(from, to, payload);
+    const auto deadline = std::chrono::steady_clock::now() + 200ms;
+    while (!parentDone_(to) && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(1ms);
+    }
+    inner_.send(held.from, held.to, held.payload);
+    released_ = true;
+  }
+  std::optional<net::Envelope> receive(
+      NodeId node, std::chrono::milliseconds timeout) override {
+    return inner_.receive(node, timeout);
+  }
+  void shutdown() override { inner_.shutdown(); }
+
+  /// The phase-1 result really was held and released behind the final one.
+  [[nodiscard]] bool released() const { return released_.load(); }
+
+ private:
+  [[nodiscard]] bool isPhaseOne(std::uint64_t queryId) const {
+    return std::find(phaseOneIds_.begin(), phaseOneIds_.end(), queryId) !=
+           phaseOneIds_.end();
+  }
+
+  net::Transport& inner_;
+  const std::uint64_t parentId_;
+  std::vector<std::uint64_t> phaseOneIds_;
+  std::function<bool(NodeId)> parentDone_;
+  std::mutex mutex_;
+  bool holding_ = false;  // guarded by mutex_
+  net::Envelope held_;    // guarded by mutex_
+  std::atomic<bool> released_{false};
+};
+
+TEST(ServiceTrace, MemberSeeingFinalResultBeforeItsGroupResultKeepsGroupPhase) {
+  // The final result reaches a member ahead of that member's own phase-1
+  // result.  The member must still record its group phase (one
+  // "group_phase" span per node) before it retires the parent, and every
+  // node must end with no state.
+  HoldGroupResultUntilFinal* hold = nullptr;
+  TracedCluster cluster(9, tracedOptions(), [&](net::Transport& inner) {
+    auto wrapper = std::make_unique<HoldGroupResultUntilFinal>(inner, 1, 3);
+    hold = wrapper.get();
+    return wrapper;
+  });
+  hold->watch([&](NodeId node) {
+    return cluster.services[node]->resultOf(1).has_value();
+  });
+  auto future =
+      cluster.services[0]->initiate(groupedDescriptor(1), cluster.ring());
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  const TopKVector expected =
+      data::trueTopK(data::fleetValues(cluster.dbs, "sales", "revenue"), 3);
+  EXPECT_EQ(future.get(), expected);
+  for (const auto& service : cluster.services) {
+    EXPECT_EQ(service->waitFor(1, 5000ms), expected);
+  }
+  cluster.drain();
+  EXPECT_TRUE(hold->released());
+
+  const std::vector<obs::SpanRecord> all = cluster.allSpans();
+  const auto traceIds = obs::traceIdsForQuery(all, 1);
+  ASSERT_EQ(traceIds.size(), 1u);
+  const obs::TraceTimeline timeline = obs::buildTimeline(all, traceIds[0]);
+  ASSERT_TRUE(timeline.phases.contains("group_phase"));
+  EXPECT_EQ(timeline.phases.at("group_phase").count, 9u);
 }
 
 TEST(ServiceTrace, FlatQueryTraceHasRoundPerRing) {
