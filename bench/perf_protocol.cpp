@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <numeric>
 
 #include "support/bench_json.hpp"
 #include "support/experiment.hpp"
@@ -17,7 +18,7 @@
 #include "protocol/group.hpp"
 #include "protocol/runner.hpp"
 #include "protocol/secure_sum.hpp"
-#include "protocol/sim_engine.hpp"
+#include "query/service_sim.hpp"
 
 using namespace privtopk;
 
@@ -96,14 +97,24 @@ void BM_NaiveQuery(benchmark::State& state) {
 BENCHMARK(BM_NaiveQuery);
 
 void BM_SimulatedQuery(benchmark::State& state) {
+  // One max query through 16 simulated service cores: announce pass,
+  // rounds and dissemination, in virtual time.
   data::UniformDistribution dist;
   Rng dataRng(7);
-  const auto values = data::generateValueSets(16, 10, dist, dataRng);
-  protocol::SimulatedRunConfig cfg;
-  cfg.params = params(1);
-  Rng rng(8);
+  const auto dbs =
+      data::fleetFromValues(data::generateValueSets(16, 10, dist, dataRng));
+  std::vector<std::uint64_t> seeds(dbs.size(), 8);
+  std::vector<NodeId> ring(dbs.size());
+  std::iota(ring.begin(), ring.end(), NodeId{0});
+  query::QueryDescriptor descriptor;
+  descriptor.tableName = "sales";
+  descriptor.attribute = "revenue";
+  descriptor.params = params(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runSimulatedQuery(values, cfg, rng).result);
+    query::ServiceSim sim(dbs, seeds);
+    sim.initiate(descriptor, ring);
+    sim.run();
+    benchmark::DoNotOptimize(sim.outcome(descriptor.queryId));
   }
 }
 BENCHMARK(BM_SimulatedQuery);
@@ -115,7 +126,9 @@ void BM_GroupedQuery(benchmark::State& state) {
   Rng rng(10);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        protocol::runGrouped(values, params(1), 8, rng).result);
+        protocol::runGrouped(values, params(1),
+                             protocol::ProtocolKind::Probabilistic, 8, rng)
+            .result);
   }
 }
 BENCHMARK(BM_GroupedQuery);

@@ -4,15 +4,18 @@
 //  identifying certain suspects ... However, they cannot indiscriminately
 //  open up their databases to all other agencies."
 //
-// Five agencies hold private threat-score databases.  They run a max query
-// (top-1 threat score) over a simulated wide-area network with realistic
-// latencies - and the example crashes one agency mid-query to demonstrate
-// the ring repair of §3.2 (the survivors still finish and agree).
+// Five agencies hold private threat-score databases.  Each runs the real
+// node service logic (query::ServiceCore), simulated in virtual time over
+// a wide-area network with realistic latencies - and the example crashes
+// one agency mid-query to demonstrate the ring repair of §3.2 (the
+// survivors still finish and agree).
 
 #include <cstdio>
+#include <numeric>
 
+#include "common/logging.hpp"
 #include "data/database.hpp"
-#include "protocol/sim_engine.hpp"
+#include "query/service_sim.hpp"
 
 using namespace privtopk;
 
@@ -31,27 +34,45 @@ data::PrivateDatabase makeAgency(const std::string& name,
   return db;
 }
 
-protocol::SimulatedRunResult runQuery(
-    const std::vector<data::PrivateDatabase>& agencies,
-    const sim::FailurePlan& failures, std::uint64_t seed) {
-  std::vector<std::vector<Value>> locals;
-  for (const auto& db : agencies) {
-    locals.push_back(db.localTopK("records", "threat_score", 1));
-  }
-  protocol::SimulatedRunConfig cfg;
-  cfg.params.k = 1;
-  cfg.params.domain = Domain{0, 1000};
-  cfg.params.epsilon = 1e-6;
+struct Outcome {
+  Value maximum = 0;         ///< as agency-north (the initiator) learns it
+  double completedMs = 0.0;  ///< virtual ms until it held the answer
+  std::size_t messages = 0;
+};
+
+/// One max query, initiated by agency-north, under `faults` (crashes are
+/// counted in messages an agency has sent; see net::FaultSpec).
+Outcome runQuery(const std::vector<data::PrivateDatabase>& agencies,
+                 const net::FaultSpec& faults, std::uint64_t seed) {
   static const sim::ExponentialLatency wan(20.0, 15.0);  // ~WAN round trips
-  cfg.latency = &wan;
-  cfg.failures = failures;
-  Rng rng(seed);
-  return runSimulatedQuery(locals, cfg, rng);
+  query::SimOptions options;
+  options.latency = &wan;
+  options.latencySeed = seed;
+  options.faults = faults;
+  std::vector<std::uint64_t> seeds(agencies.size());
+  std::iota(seeds.begin(), seeds.end(), seed * 16);
+  std::vector<NodeId> ring(agencies.size());
+  std::iota(ring.begin(), ring.end(), NodeId{0});
+  query::QueryDescriptor descriptor;
+  descriptor.queryId = 1;
+  descriptor.type = query::QueryType::Max;
+  descriptor.tableName = "records";
+  descriptor.attribute = "threat_score";
+  descriptor.params.domain = Domain{0, 1000};
+  descriptor.params.epsilon = 1e-6;
+  query::ServiceSim sim(agencies, seeds, options);
+  sim.initiate(descriptor, ring);
+  sim.run();
+  const query::ServiceSim::Retired& answer = *sim.outcome(1);
+  return Outcome{answer.result->front(), answer.at, sim.sends().size()};
 }
 
 }  // namespace
 
 int main() {
+  // The ring repair below logs each retransmission and splice; keep the
+  // output to the story.
+  setLogLevel(LogLevel::Error);
   std::vector<data::PrivateDatabase> agencies;
   agencies.push_back(makeAgency("agency-north",
                                 {{"viper", 310}, {"ghost", 640}}));
@@ -64,26 +85,26 @@ int main() {
                                 {{"lynx", 660}, {"pike", 875}}));
 
   // --- Normal operation over a simulated WAN. ---------------------------
-  const auto healthy = runQuery(agencies, sim::FailurePlan{}, 11);
+  const Outcome healthy = runQuery(agencies, net::FaultSpec{}, 11);
   std::printf("Maximum threat score across %zu agencies: %lld\n",
-              agencies.size(),
-              static_cast<long long>(healthy.result.front()));
+              agencies.size(), static_cast<long long>(healthy.maximum));
   std::printf("  completed in %.1f virtual ms over a WAN "
-              "(%zu ring messages)\n\n",
-              healthy.completionTime, healthy.messages);
+              "(%zu messages)\n\n",
+              healthy.completedMs, healthy.messages);
 
   // --- The same query with agency-east crashing mid-protocol. -----------
   // agency-east holds the global max (910); if it dies before contributing,
-  // the survivors' answer is the max among the remaining data.
-  sim::FailurePlan crashEarly;
-  crashEarly.crashAt(2, 0.0);  // node 2 = agency-east, dead from the start
-  const auto degraded = runQuery(agencies, crashEarly, 12);
+  // the survivors' answer is the max among the remaining data.  Its
+  // predecessor declares it dead after repeated failed sends and splices
+  // it out of the ring.
+  const Outcome degraded =
+      runQuery(agencies, net::FaultSpec::parse("crash:2@0"), 12);
   std::printf("With agency-east down from the start:\n");
   std::printf("  survivors' maximum threat score: %lld (agency-east's 910 "
               "is unavailable)\n",
-              static_cast<long long>(degraded.result.front()));
-  std::printf("  failed nodes spliced out of the ring: %zu\n\n",
-              degraded.failedNodes.size());
+              static_cast<long long>(degraded.maximum));
+  std::printf("  ring repaired; answered after %.1f virtual ms\n\n",
+              degraded.completedMs);
 
   // --- Crash late: the value is usually already contributed. -------------
   // The probabilistic protocol masks values in early rounds, so a node that
@@ -92,13 +113,15 @@ int main() {
   int kept = 0;
   const int reruns = 50;
   for (int i = 0; i < reruns; ++i) {
-    sim::FailurePlan crashLate;
-    crashLate.crashAt(2, 400.0);  // well into the later rounds
-    const auto lateCrash =
-        runQuery(agencies, crashLate, 13 + static_cast<std::uint64_t>(i));
-    if (lateCrash.result.front() == 910) ++kept;
+    // agency-east dies after sending 4 messages: its announce forward and
+    // the tokens of rounds 1-3.
+    const Outcome lateCrash =
+        runQuery(agencies, net::FaultSpec::parse("crash:2@4"),
+                 13 + static_cast<std::uint64_t>(i));
+    if (lateCrash.maximum == 910) ++kept;
   }
-  std::printf("With agency-east crashing late (t = 400ms), over %d runs:\n",
+  std::printf("With agency-east crashing late (after its 4th message), over "
+              "%d runs:\n",
               reruns);
   std::printf("  its value (910) survived in %d runs - it was already "
               "merged into the\n  global vector;  in the other %d runs the "

@@ -38,6 +38,18 @@ std::vector<std::vector<Value>> fleetValues(
   return out;
 }
 
+std::vector<PrivateDatabase> fleetFromValues(
+    const std::vector<std::vector<Value>>& values) {
+  std::vector<PrivateDatabase> fleet;
+  for (std::size_t node = 0; node < values.size(); ++node) {
+    Table table(Schema({{"revenue", ColumnType::Int}}));
+    for (Value v : values[node]) table.appendRow({Cell{v}});
+    fleet.emplace_back("org-" + std::to_string(node));
+    fleet.back().addTable("sales", std::move(table));
+  }
+  return fleet;
+}
+
 std::vector<std::vector<Value>> generateValueSets(
     std::size_t nodes, std::size_t valuesPerNode,
     const ValueDistribution& distribution, Rng& rng) {

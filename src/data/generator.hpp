@@ -39,6 +39,12 @@ struct FleetSpec {
     const std::vector<PrivateDatabase>& fleet, const std::string& tableName,
     const std::string& attribute);
 
+/// The inverse of fleetValues: one database per value vector, holding it
+/// in the Int column `revenue` of table `sales`, so raw value sets can
+/// drive engines that scan tables (query::ServiceSim).
+[[nodiscard]] std::vector<PrivateDatabase> fleetFromValues(
+    const std::vector<std::vector<Value>>& values);
+
 /// Generates raw per-node value vectors directly (the fast path used by the
 /// Monte-Carlo experiment harnesses, which do not need Table scaffolding).
 [[nodiscard]] std::vector<std::vector<Value>> generateValueSets(

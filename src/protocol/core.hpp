@@ -15,11 +15,12 @@
 //   * aborted()/abortReason()                   -> Abort: the ring shrank
 //     below the privacy floor and the query cannot continue.
 //
-// Three drivers exist: protocol::RingQueryRunner (synchronous Monte-Carlo
-// loop), protocol::runSimulatedQuery (virtual-time event queue) and
-// query::NodeService (long-running daemon, the one networked driver).
-// They contain NO ring arithmetic, round bookkeeping or termination logic
-// of their own - this header is the single home of all of it.
+// Two drivers exist: protocol::RingQueryRunner (synchronous Monte-Carlo
+// loop) and query::ServiceCore (the service's per-query logic, run live by
+// query::NodeService - the one networked driver - and in virtual time by
+// query::ServiceSim).  They contain NO ring arithmetic, round bookkeeping
+// or termination logic of their own - this header is the single home of
+// all of it.
 
 #pragma once
 
@@ -118,12 +119,12 @@ inline constexpr std::uint64_t kAlgorithmRngTag = 0x5a17;
                                 const ProtocolParams& params);
 
 // ---------------------------------------------------------------------------
-// Engine-facing knobs shared by the in-memory drivers (runner + simulator).
+// Engine-facing knobs of the synchronous runner.
 // ---------------------------------------------------------------------------
 
-/// Optional determinism overrides for the in-memory engines, letting a
-/// test pin the ring and the per-node randomness to match another engine
-/// bit for bit (see tests/integration/engine_equivalence_test.cpp).
+/// Optional determinism overrides for the runner, letting a test pin the
+/// ring and the per-node randomness to match a service run bit for bit
+/// (see tests/integration/engine_equivalence_test.cpp).
 struct EngineOverrides {
   /// Explicit ring order (a permutation of 0..n-1; front() starts).
   /// Empty: the engine draws its default mapping (identity for the naive
@@ -148,7 +149,7 @@ struct ParticipantConfig {
   /// Protocol parameters with k already resolved to the effective k.
   ProtocolParams params;
   /// Optional trace sink (RecordTraceStep effect).  May be shared by all
-  /// participants of one run (in-memory engines) or private to this node
+  /// participants of one run (the runner) or private to this node
   /// (NodeService).  Must outlive the Participant.
   ExecutionTrace* trace = nullptr;
   /// Optional distributed-tracing sink.  When set and an input carries an
@@ -246,14 +247,11 @@ class Participant {
     return ringSuccessor(activeOrder(), self_);
   }
   [[nodiscard]] Round rounds() const { return rounds_; }
-  /// Highest round this node's algorithm has processed.
-  [[nodiscard]] Round lastProcessedRound() const { return lastProcessed_; }
   [[nodiscard]] bool completed() const { return completed_; }
   [[nodiscard]] bool aborted() const { return aborted_; }
   [[nodiscard]] const std::string& abortReason() const { return abortReason_; }
   /// Valid once completed().
   [[nodiscard]] const TopKVector& result() const { return result_; }
-  [[nodiscard]] const TopKVector& localVector() const { return local_; }
   [[nodiscard]] const LocalAlgorithm::PassCounts& passCounts() const {
     return algorithm_->passCounts();
   }

@@ -53,6 +53,43 @@ std::vector<NodeId> identityRing(std::size_t n) {
   return order;
 }
 
+/// Runs every group of `plan` - on the identity ring over its member order
+/// when `identityRings`, on the runner's own mapping otherwise - then
+/// merges the group results on the delegates' ring.
+GroupedRunResult runPlan(const std::vector<std::vector<Value>>& localValues,
+                         const ProtocolParams& params, ProtocolKind kind,
+                         const GroupPlan& plan, bool identityRings, Rng& rng) {
+  const RingQueryRunner runner(params, kind);
+  GroupedRunResult out;
+  out.groups = plan.groups.size();
+  std::size_t longestGroupRun = 0;
+  std::vector<std::vector<Value>> delegateInputs;
+  delegateInputs.reserve(plan.groups.size());
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    std::vector<std::vector<Value>> members;
+    members.reserve(plan.groups[g].size());
+    for (std::size_t idx : plan.groups[g]) members.push_back(localValues[idx]);
+    core::EngineOverrides overrides;
+    if (identityRings) overrides.ringOrder = identityRing(members.size());
+    if (!plan.groupSeeds.empty()) overrides.nodeSeeds = plan.groupSeeds[g];
+    const RunResult groupRun = runner.run(members, rng, overrides);
+    out.totalMessages += groupRun.totalMessages;
+    longestGroupRun = std::max(longestGroupRun, groupRun.totalMessages);
+    // The group's delegate carries the group top-k into the second level.
+    delegateInputs.push_back(groupRun.result);
+  }
+  core::EngineOverrides mergeOverrides;
+  if (identityRings) {
+    mergeOverrides.ringOrder = identityRing(delegateInputs.size());
+  }
+  mergeOverrides.nodeSeeds = plan.mergeSeeds;
+  const RunResult finalRun = runner.run(delegateInputs, rng, mergeOverrides);
+  out.totalMessages += finalRun.totalMessages;
+  out.criticalPathMessages = longestGroupRun + finalRun.totalMessages;
+  out.result = finalRun.result;
+  return out;
+}
+
 }  // namespace
 
 GroupLayout makeGroupLayout(const std::vector<NodeId>& nodes,
@@ -98,13 +135,6 @@ GroupLayout makeGroupLayout(const std::vector<NodeId>& nodes,
 }
 
 GroupedRunResult runGrouped(const std::vector<std::vector<Value>>& localValues,
-                            const ProtocolParams& params, std::size_t groupSize,
-                            Rng& rng) {
-  return runGrouped(localValues, params, ProtocolKind::Probabilistic,
-                    groupSize, rng);
-}
-
-GroupedRunResult runGrouped(const std::vector<std::vector<Value>>& localValues,
                             const ProtocolParams& params, ProtocolKind kind,
                             std::size_t groupSize, Rng& rng) {
   params.validate();
@@ -112,12 +142,10 @@ GroupedRunResult runGrouped(const std::vector<std::vector<Value>>& localValues,
     throw ConfigError("runGrouped: groups need at least 3 members");
   }
   const std::size_t n = localValues.size();
-  const RingQueryRunner runner(params, kind);
-
   const std::size_t groupCount = n / groupSize;
   if (groupCount < 3) {
     // Too few groups for a delegate ring; run flat.
-    RunResult flat = runner.run(localValues, rng);
+    RunResult flat = RingQueryRunner(params, kind).run(localValues, rng);
     return GroupedRunResult{flat.result, flat.totalMessages,
                             flat.totalMessages, 1};
   }
@@ -126,92 +154,12 @@ GroupedRunResult runGrouped(const std::vector<std::vector<Value>>& localValues,
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   rng.shuffle(perm);
-
-  GroupedRunResult out;
-  out.groups = groupCount;
-  std::size_t longestGroupRun = 0;
-  std::vector<std::vector<Value>> delegateInputs;
-  delegateInputs.reserve(groupCount);
-
-  for (std::size_t g = 0; g < groupCount; ++g) {
-    std::vector<std::vector<Value>> members;
-    for (std::size_t idx = g; idx < n; idx += groupCount) {
-      members.push_back(localValues[perm[idx]]);
-    }
-    RunResult groupRun = runner.run(members, rng);
-    out.totalMessages += groupRun.totalMessages;
-    longestGroupRun = std::max(longestGroupRun, groupRun.totalMessages);
-    // The group's delegate carries the group top-k into the second level.
-    delegateInputs.push_back(groupRun.result);
+  GroupPlan plan;
+  plan.groups.resize(groupCount);
+  for (std::size_t idx = 0; idx < n; ++idx) {
+    plan.groups[idx % groupCount].push_back(perm[idx]);
   }
-
-  RunResult finalRun = runner.run(delegateInputs, rng);
-  out.totalMessages += finalRun.totalMessages;
-  out.criticalPathMessages = longestGroupRun + finalRun.totalMessages;
-  out.result = finalRun.result;
-  return out;
-}
-
-GroupedSimulatedResult runGroupedSimulated(
-    const std::vector<std::vector<Value>>& localValues,
-    const ProtocolParams& params, std::size_t groupSize,
-    const sim::LatencyModel* latency, Rng& rng) {
-  params.validate();
-  if (groupSize < 3) {
-    throw ConfigError("runGroupedSimulated: groups need at least 3 members");
-  }
-  const std::size_t n = localValues.size();
-
-  SimulatedRunConfig simCfg;
-  simCfg.params = params;
-  simCfg.latency = latency;
-
-  GroupedSimulatedResult out;
-  // Flat reference on the same data.
-  {
-    Rng flatRng = rng.fork(0xF1A7);
-    const SimulatedRunResult flat =
-        runSimulatedQuery(localValues, simCfg, flatRng);
-    out.flatCompletionTime = flat.completionTime;
-  }
-
-  const std::size_t groupCount = n / groupSize;
-  if (groupCount < 3) {
-    Rng flatRng = rng.fork(0x0F2A);
-    const SimulatedRunResult flat =
-        runSimulatedQuery(localValues, simCfg, flatRng);
-    out.result = flat.result;
-    out.completionTime = flat.completionTime;
-    out.groups = 1;
-    return out;
-  }
-
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  rng.shuffle(perm);
-
-  out.groups = groupCount;
-  sim::SimTime slowestGroup = 0.0;
-  std::vector<std::vector<Value>> delegateInputs;
-  delegateInputs.reserve(groupCount);
-  for (std::size_t g = 0; g < groupCount; ++g) {
-    std::vector<std::vector<Value>> members;
-    for (std::size_t idx = g; idx < n; idx += groupCount) {
-      members.push_back(localValues[perm[idx]]);
-    }
-    Rng groupRng = rng.fork(g + 1);
-    const SimulatedRunResult groupRun =
-        runSimulatedQuery(members, simCfg, groupRng);
-    slowestGroup = std::max(slowestGroup, groupRun.completionTime);
-    delegateInputs.push_back(groupRun.result);
-  }
-
-  Rng delegateRng = rng.fork(0xDE1E);
-  const SimulatedRunResult finalRun =
-      runSimulatedQuery(delegateInputs, simCfg, delegateRng);
-  out.result = finalRun.result;
-  out.completionTime = slowestGroup + finalRun.completionTime;
-  return out;
+  return runPlan(localValues, params, kind, plan, false, rng);
 }
 
 GroupedRunResult runGroupedWithPlan(
@@ -220,78 +168,7 @@ GroupedRunResult runGroupedWithPlan(
     Rng& rng) {
   params.validate();
   validatePlan(plan, localValues.size());
-  const RingQueryRunner runner(params, kind);
-
-  GroupedRunResult out;
-  out.groups = plan.groups.size();
-  std::size_t longestGroupRun = 0;
-  std::vector<std::vector<Value>> delegateInputs;
-  delegateInputs.reserve(plan.groups.size());
-
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    std::vector<std::vector<Value>> members;
-    members.reserve(plan.groups[g].size());
-    for (std::size_t idx : plan.groups[g]) members.push_back(localValues[idx]);
-    core::EngineOverrides overrides;
-    overrides.ringOrder = identityRing(members.size());
-    if (!plan.groupSeeds.empty()) overrides.nodeSeeds = plan.groupSeeds[g];
-    const RunResult groupRun = runner.run(members, rng, overrides);
-    out.totalMessages += groupRun.totalMessages;
-    longestGroupRun = std::max(longestGroupRun, groupRun.totalMessages);
-    delegateInputs.push_back(groupRun.result);
-  }
-
-  core::EngineOverrides mergeOverrides;
-  mergeOverrides.ringOrder = identityRing(delegateInputs.size());
-  mergeOverrides.nodeSeeds = plan.mergeSeeds;
-  const RunResult finalRun = runner.run(delegateInputs, rng, mergeOverrides);
-  out.totalMessages += finalRun.totalMessages;
-  out.criticalPathMessages = longestGroupRun + finalRun.totalMessages;
-  out.result = finalRun.result;
-  return out;
-}
-
-GroupedSimulatedResult runGroupedSimulatedWithPlan(
-    const std::vector<std::vector<Value>>& localValues,
-    const ProtocolParams& params, ProtocolKind kind, const GroupPlan& plan,
-    const sim::LatencyModel* latency, Rng& rng) {
-  params.validate();
-  validatePlan(plan, localValues.size());
-
-  SimulatedRunConfig simCfg;
-  simCfg.params = params;
-  simCfg.kind = kind;
-  simCfg.latency = latency;
-
-  GroupedSimulatedResult out;
-  out.groups = plan.groups.size();
-  sim::SimTime slowestGroup = 0.0;
-  std::vector<std::vector<Value>> delegateInputs;
-  delegateInputs.reserve(plan.groups.size());
-
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    std::vector<std::vector<Value>> members;
-    members.reserve(plan.groups[g].size());
-    for (std::size_t idx : plan.groups[g]) members.push_back(localValues[idx]);
-    simCfg.overrides.ringOrder = identityRing(members.size());
-    simCfg.overrides.nodeSeeds =
-        plan.groupSeeds.empty() ? std::vector<std::uint64_t>{}
-                                : plan.groupSeeds[g];
-    Rng groupRng = rng.fork(g + 1);
-    const SimulatedRunResult groupRun =
-        runSimulatedQuery(members, simCfg, groupRng);
-    slowestGroup = std::max(slowestGroup, groupRun.completionTime);
-    delegateInputs.push_back(groupRun.result);
-  }
-
-  simCfg.overrides.ringOrder = identityRing(delegateInputs.size());
-  simCfg.overrides.nodeSeeds = plan.mergeSeeds;
-  Rng delegateRng = rng.fork(0xDE1E);
-  const SimulatedRunResult finalRun =
-      runSimulatedQuery(delegateInputs, simCfg, delegateRng);
-  out.result = finalRun.result;
-  out.completionTime = slowestGroup + finalRun.completionTime;
-  return out;
+  return runPlan(localValues, params, kind, plan, true, rng);
 }
 
 }  // namespace privtopk::protocol

@@ -19,16 +19,15 @@
 
 #include "common/rng.hpp"
 #include "protocol/runner.hpp"
-#include "protocol/sim_engine.hpp"
 
 namespace privtopk::protocol {
 
 // ---------------------------------------------------------------------------
 // Deterministic derivations shared by the distributed NodeService and the
-// in-memory engines.  A grouped service run is fully determined by the
+// synchronous runner.  A grouped service run is fully determined by the
 // coordinator's seed, the participants' seeds and the parent query id, so
-// the runner/simulator can replay it bit-for-bit (see runGroupedWithPlan
-// and tests/integration/engine_equivalence_test.cpp).
+// the runner can replay it bit-for-bit (see runGroupedWithPlan and
+// tests/integration/engine_equivalence_test.cpp).
 
 /// Seed of the Rng that draws the group partition + delegate selection at
 /// the coordinating node.
@@ -107,16 +106,11 @@ struct GroupedRunResult {
   std::size_t groups = 0;
 };
 
-/// Runs the grouped protocol.  `groupSize` must be >= 3 (each group ring
-/// needs three nodes); the last group absorbs the remainder when n is not
-/// divisible.  The delegate phase requires at least 3 groups; with fewer,
-/// the call falls back to one flat run and reports groups = 1.
-[[nodiscard]] GroupedRunResult runGrouped(
-    const std::vector<std::vector<Value>>& localValues,
-    const ProtocolParams& params, std::size_t groupSize, Rng& rng);
-
-/// Same, with an explicit protocol kind (the legacy overload above runs
-/// ProtocolKind::Probabilistic).
+/// Runs the grouped protocol over a random partition.  `groupSize` must be
+/// >= 3 (each group ring needs three nodes); the remainder is spread
+/// round-robin when n is not divisible.  The delegate phase requires at
+/// least 3 groups; with fewer, the call falls back to one flat run and
+/// reports groups = 1.
 [[nodiscard]] GroupedRunResult runGrouped(
     const std::vector<std::vector<Value>>& localValues,
     const ProtocolParams& params, ProtocolKind kind, std::size_t groupSize,
@@ -132,33 +126,5 @@ struct GroupedRunResult {
     const std::vector<std::vector<Value>>& localValues,
     const ProtocolParams& params, ProtocolKind kind, const GroupPlan& plan,
     Rng& rng);
-
-struct GroupedSimulatedResult {
-  TopKVector result;
-  /// Virtual completion time with all groups executing in parallel:
-  /// max over groups + the delegate phase.
-  sim::SimTime completionTime = 0.0;
-  /// Virtual completion time of the flat single-ring run on the same data
-  /// and latency model, for comparison.
-  sim::SimTime flatCompletionTime = 0.0;
-  std::size_t groups = 0;
-};
-
-/// The §4.2 claim measured in virtual time: runs every group through the
-/// event simulator under `latency` (nullptr = 1 ms fixed), takes the max
-/// group time (parallel phase), adds the delegate-ring time, and runs the
-/// flat protocol for reference.  Falls back to groups = 1 like runGrouped.
-[[nodiscard]] GroupedSimulatedResult runGroupedSimulated(
-    const std::vector<std::vector<Value>>& localValues,
-    const ProtocolParams& params, std::size_t groupSize,
-    const sim::LatencyModel* latency, Rng& rng);
-
-/// Plan replay through the event simulator (see runGroupedWithPlan).
-/// completionTime is max-over-groups plus the merge ring;
-/// flatCompletionTime is not computed (left 0) by the plan variant.
-[[nodiscard]] GroupedSimulatedResult runGroupedSimulatedWithPlan(
-    const std::vector<std::vector<Value>>& localValues,
-    const ProtocolParams& params, ProtocolKind kind, const GroupPlan& plan,
-    const sim::LatencyModel* latency, Rng& rng);
 
 }  // namespace privtopk::protocol

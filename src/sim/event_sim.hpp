@@ -1,10 +1,10 @@
 // Discrete-event simulator with virtual time.
 //
 // Events are (time, handler) pairs popped in time order; ties break by
-// insertion order so runs are deterministic.  The protocol's simulated
-// deployments schedule token deliveries through this queue with latencies
-// drawn from a LatencyModel, yielding virtual-time cost figures without
-// wall-clock sleeps.
+// insertion order so runs are deterministic.  query::ServiceSim schedules
+// message deliveries (latencies drawn from a LatencyModel) and service
+// maintenance ticks through this queue, yielding virtual-time cost figures
+// without wall-clock sleeps.
 
 #pragma once
 
@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -70,7 +69,6 @@ class LatencyModel {
   virtual ~LatencyModel() = default;
   /// One link traversal in virtual ms; must be >= 0.
   [[nodiscard]] virtual SimTime sample(Rng& rng) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Constant latency.
@@ -80,7 +78,6 @@ class FixedLatency final : public LatencyModel {
     if (ms < 0) throw ConfigError("FixedLatency: negative latency");
   }
   [[nodiscard]] SimTime sample(Rng&) const override { return ms_; }
-  [[nodiscard]] std::string name() const override { return "fixed"; }
 
  private:
   SimTime ms_;
@@ -95,7 +92,6 @@ class UniformLatency final : public LatencyModel {
   [[nodiscard]] SimTime sample(Rng& rng) const override {
     return lo_ + (hi_ - lo_) * rng.uniform01();
   }
-  [[nodiscard]] std::string name() const override { return "uniform"; }
 
  private:
   SimTime lo_;
@@ -112,7 +108,6 @@ class ExponentialLatency final : public LatencyModel {
   [[nodiscard]] SimTime sample(Rng& rng) const override {
     return base_ + rng.exponential(mean_);
   }
-  [[nodiscard]] std::string name() const override { return "exponential"; }
 
  private:
   SimTime base_;

@@ -23,8 +23,8 @@ namespace privtopk::sim {
 /// successor (the paper's repair rule).  Returns false when `failed` is not
 /// on the ring (already repaired elsewhere); throws Error when removal would
 /// empty the ring.  This is the single source of truth for repair semantics:
-/// both the simulator's RingTopology and the real-transport NodeService
-/// shrink rings through it.
+/// both RingTopology and the service (live or simulated) shrink rings
+/// through it.
 bool repairRingOrder(std::vector<NodeId>& order, NodeId failed);
 
 class RingTopology {

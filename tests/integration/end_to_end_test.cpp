@@ -14,8 +14,8 @@
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
 #include "protocol/runner.hpp"
-#include "protocol/sim_engine.hpp"
 #include "query/service.hpp"
+#include "query/service_sim.hpp"
 
 namespace privtopk {
 namespace {
@@ -23,7 +23,6 @@ namespace {
 using namespace std::chrono_literals;
 using protocol::ProtocolKind;
 using protocol::ProtocolParams;
-using protocol::runSimulatedQuery;
 using query::NodeService;
 using query::QueryDescriptor;
 using query::QueryType;
@@ -193,9 +192,9 @@ TEST(EndToEnd, DistributedTopKOverEncryptedTcp) {
 }
 
 TEST(EndToEnd, EnginesAgreeOnDeterministicRuns) {
-  // With p0 = 0 the in-memory engines are deterministic merges and must
-  // produce the identical (exact) answer (engine_equivalence_test pins the
-  // live NodeService against both).
+  // With p0 = 0 the runner and the simulated service are deterministic
+  // merges and must produce the identical (exact) answer
+  // (engine_equivalence_test pins the live NodeService against both).
   data::UniformDistribution dist;
   Rng dataRng(10);
   const auto values = data::generateValueSets(5, 6, dist, dataRng);
@@ -211,11 +210,18 @@ TEST(EndToEnd, EnginesAgreeOnDeterministicRuns) {
   const protocol::RingQueryRunner runner(params, ProtocolKind::Probabilistic);
   EXPECT_EQ(runner.run(values, rng1).result, truth);
 
-  // Event-driven simulation.
-  protocol::SimulatedRunConfig simCfg;
-  simCfg.params = params;
-  Rng rng2(12);
-  EXPECT_EQ(runSimulatedQuery(values, simCfg, rng2).result, truth);
+  // The service core in virtual time.
+  const auto dbs = data::fleetFromValues(values);
+  query::QueryDescriptor descriptor;
+  descriptor.queryId = 1;
+  descriptor.tableName = "sales";
+  descriptor.attribute = "revenue";
+  descriptor.params = params;
+  query::ServiceSim sim(dbs, {21, 22, 23, 24, 25});
+  sim.initiate(descriptor, {0, 1, 2, 3, 4});
+  sim.run();
+  ASSERT_NE(sim.outcome(1), nullptr);
+  EXPECT_EQ(sim.outcome(1)->result, truth);
 }
 
 TEST(EndToEnd, SecureChannelProtectsTokenBytes) {

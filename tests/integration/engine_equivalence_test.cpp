@@ -1,8 +1,9 @@
-// Cross-engine equivalence: the synchronous runner, the event-driven
-// simulator and an in-process NodeService ring all drive the same
-// protocol::core::Participant, so under pinned randomness (explicit ring
-// order + per-node algorithm seeds, core::EngineOverrides) the three
-// engines must produce BIT-IDENTICAL result vectors.
+// Cross-engine equivalence: the synchronous runner, query::ServiceSim (the
+// service's ServiceCore in virtual time) and a live in-process NodeService
+// ring all drive the same protocol::core::Participant, so under pinned
+// randomness (explicit ring order + per-node algorithm seeds,
+// core::EngineOverrides) the three must produce BIT-IDENTICAL result
+// vectors.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,8 @@
 #include "net/inproc.hpp"
 #include "protocol/group.hpp"
 #include "protocol/runner.hpp"
-#include "protocol/sim_engine.hpp"
 #include "query/service.hpp"
+#include "query/service_sim.hpp"
 
 namespace privtopk::query {
 namespace {
@@ -26,8 +27,7 @@ constexpr std::size_t kNodes = 4;
 
 // Seeding contract: a NodeService seeded S builds its FIRST ring query's
 // algorithm from Rng(S), which is exactly what EngineOverrides::nodeSeeds
-// makes the in-memory engines do.  Each scenario therefore runs on a
-// fresh cluster.
+// makes the runner do.  Each scenario therefore runs on a fresh cluster.
 const std::vector<std::uint64_t> kNodeSeeds = {9000, 9001, 9002, 9003};
 const std::vector<NodeId> kRing = {0, 1, 2, 3};
 
@@ -42,6 +42,24 @@ QueryDescriptor makeDescriptor(std::uint64_t id, QueryType type,
   d.params.k = k;
   d.params.rounds = 6;
   return d;
+}
+
+// Every node of a ServiceSim federation must end with `expected`.
+void expectSimulatorAgrees(const std::vector<data::PrivateDatabase>& dbs,
+                           const std::vector<std::uint64_t>& seeds,
+                           const QueryDescriptor& descriptor,
+                           const std::vector<NodeId>& ring,
+                           const TopKVector& expected) {
+  ServiceSim sim(dbs, seeds);
+  sim.initiate(descriptor, ring);
+  sim.run();
+  const ServiceSim::Retired* outcome = sim.outcome(descriptor.queryId);
+  ASSERT_NE(outcome, nullptr) << "simulated initiator never completed";
+  EXPECT_EQ(outcome->result, expected) << "simulator diverged";
+  for (NodeId node : ring) {
+    EXPECT_EQ(sim.core(node).resultOf(descriptor.queryId), expected)
+        << "simulated node " << node << " diverged";
+  }
 }
 
 // Returns the agreed result so mechanism tests can compare it against the
@@ -68,14 +86,8 @@ TopKVector expectEnginesAgree(const QueryDescriptor& descriptor) {
   const protocol::RingQueryRunner runner(params, descriptor.kind);
   const auto runnerOut = runner.run(values, runnerRng, overrides);
 
-  // Engine 2: virtual-time event simulator.
-  protocol::SimulatedRunConfig simCfg;
-  simCfg.params = params;
-  simCfg.kind = descriptor.kind;
-  simCfg.overrides = overrides;
-  Rng simRng(7);
-  const auto simOut = protocol::runSimulatedQuery(values, simCfg, simRng);
-  EXPECT_EQ(simOut.result, runnerOut.result) << "simulator diverged";
+  // Engine 2: the service core in virtual time.
+  expectSimulatorAgrees(dbs, kNodeSeeds, descriptor, kRing, runnerOut.result);
 
   // Engine 3: a live NodeService ring over an in-process transport.
   net::InProcTransport transport(kNodes);
@@ -108,7 +120,7 @@ TopKVector expectEnginesAgree(const QueryDescriptor& descriptor) {
 // Grouped execution (§4.2): the distributed two-phase run is a pure
 // function of the coordinator seed (group layout), the member seeds
 // (per-phase algorithm streams) and the parent query id, so
-// runGroupedWithPlan / runGroupedSimulatedWithPlan can replay it exactly.
+// runGroupedWithPlan can replay it exactly.
 
 constexpr std::size_t kGroupNodes = 9;
 const std::vector<std::uint64_t> kGroupSeeds = {9100, 9101, 9102, 9103, 9104,
@@ -167,11 +179,9 @@ void expectGroupedEnginesAgree(const QueryDescriptor& descriptor) {
   const auto runnerOut = protocol::runGroupedWithPlan(
       values, params, descriptor.kind, plan, runnerRng);
 
-  // Engine 2: event simulator replaying the plan.
-  Rng simRng(7);
-  const auto simOut = protocol::runGroupedSimulatedWithPlan(
-      values, params, descriptor.kind, plan, nullptr, simRng);
-  EXPECT_EQ(simOut.result, runnerOut.result) << "grouped simulator diverged";
+  // Engine 2: the 9-node service core federation in virtual time.
+  expectSimulatorAgrees(dbs, kGroupSeeds, descriptor, kGroupRing,
+                        runnerOut.result);
 
   // Engine 3: a live 9-node NodeService cluster running the two-phase
   // protocol over net::Transport.

@@ -36,9 +36,11 @@ struct Cluster {
     Rng rng(1);
     dbs = data::generateFleet(spec, rng);
     transport = std::make_unique<net::InProcTransport>(n);
+    ServiceOptions options;
+    options.staleAfter = staleAfter;
     for (std::size_t i = 0; i < n; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], *transport, 100 + i, staleAfter));
+          static_cast<NodeId>(i), dbs[i], *transport, 100 + i, options));
       if (i != skipStart) services.back()->start();
     }
   }

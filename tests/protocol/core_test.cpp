@@ -10,7 +10,7 @@
 
 #include "common/error.hpp"
 #include "protocol/runner.hpp"
-#include "protocol/sim_engine.hpp"
+#include "query/service_core.hpp"
 
 namespace privtopk::protocol::core {
 namespace {
@@ -203,13 +203,15 @@ TEST(EngineFloor, RunnerAndSimulatorShareTheBoundary) {
   EXPECT_EQ(ok.result, (TopKVector{40}));
   EXPECT_THROW((void)runner.run({{10}, {40}}, rng), ConfigError);
 
-  SimulatedRunConfig simCfg;
-  simCfg.params = params;
-  simCfg.kind = ProtocolKind::Naive;
-  Rng simRng(3);
-  const auto simOk = runSimulatedQuery({{10}, {40}, {30}}, simCfg, simRng);
-  EXPECT_EQ(simOk.result, (TopKVector{40}));
-  EXPECT_THROW((void)runSimulatedQuery({{10}, {40}}, simCfg, simRng),
+  // The service (live and simulated) applies the same floor at initiation.
+  query::QueryDescriptor descriptor;
+  descriptor.tableName = "t";
+  descriptor.attribute = "v";
+  descriptor.params = params;
+  descriptor.kind = ProtocolKind::Naive;
+  EXPECT_NO_THROW(
+      query::ServiceCore::validateInitiation(descriptor, {0, 1, 2}, 0));
+  EXPECT_THROW(query::ServiceCore::validateInitiation(descriptor, {0, 1}, 0),
                ConfigError);
 }
 

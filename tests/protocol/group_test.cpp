@@ -23,7 +23,8 @@ TEST(RunGrouped, MatchesFlatTruth) {
   Rng dataRng(1);
   const auto values = data::generateValueSets(24, 10, dist, dataRng);
   Rng rng(2);
-  const GroupedRunResult res = runGrouped(values, exactParams(3), 4, rng);
+  const GroupedRunResult res = runGrouped(
+      values, exactParams(3), ProtocolKind::Probabilistic, 4, rng);
   EXPECT_EQ(res.result, data::trueTopK(values, 3));
   EXPECT_EQ(res.groups, 6u);
 }
@@ -33,7 +34,8 @@ TEST(RunGrouped, MaxQueryAcrossGroups) {
   Rng dataRng(3);
   const auto values = data::generateValueSets(30, 5, dist, dataRng);
   Rng rng(4);
-  const GroupedRunResult res = runGrouped(values, exactParams(1), 5, rng);
+  const GroupedRunResult res = runGrouped(
+      values, exactParams(1), ProtocolKind::Probabilistic, 5, rng);
   EXPECT_EQ(res.result, data::trueTopK(values, 1));
 }
 
@@ -43,7 +45,8 @@ TEST(RunGrouped, FallsBackToFlatWhenTooFewGroups) {
   const auto values = data::generateValueSets(6, 5, dist, dataRng);
   Rng rng(6);
   // 6 nodes / groupSize 3 = 2 groups < 3: flat fallback.
-  const GroupedRunResult res = runGrouped(values, exactParams(2), 3, rng);
+  const GroupedRunResult res = runGrouped(
+      values, exactParams(2), ProtocolKind::Probabilistic, 3, rng);
   EXPECT_EQ(res.groups, 1u);
   EXPECT_EQ(res.result, data::trueTopK(values, 2));
 }
@@ -54,7 +57,8 @@ TEST(RunGrouped, CriticalPathShorterThanFlatForLargeRings) {
   const auto values = data::generateValueSets(64, 5, dist, dataRng);
   Rng rng(8);
   const ProtocolParams params = exactParams(1);
-  const GroupedRunResult grouped = runGrouped(values, params, 8, rng);
+  const GroupedRunResult grouped = runGrouped(
+      values, params, ProtocolKind::Probabilistic, 8, rng);
 
   Rng rng2(9);
   const RingQueryRunner flat(params, ProtocolKind::Probabilistic);
@@ -66,41 +70,10 @@ TEST(RunGrouped, CriticalPathShorterThanFlatForLargeRings) {
   EXPECT_LT(grouped.criticalPathMessages, flatRes.totalMessages / 2);
 }
 
-TEST(RunGroupedSimulated, ParallelTimeBeatsFlat) {
-  data::UniformDistribution dist;
-  Rng dataRng(20);
-  const auto values = data::generateValueSets(64, 5, dist, dataRng);
-  Rng rng(21);
-  const sim::FixedLatency latency(2.0);
-  const GroupedSimulatedResult res =
-      runGroupedSimulated(values, exactParams(1), 8, &latency, rng);
-  EXPECT_EQ(res.result, data::trueTopK(values, 1));
-  EXPECT_EQ(res.groups, 8u);
-  // 8 parallel rings of 8 + one delegate ring of 8 vs a flat ring of 64.
-  EXPECT_LT(res.completionTime, res.flatCompletionTime / 2);
-}
-
-TEST(RunGroupedSimulated, FallsBackToFlat) {
-  data::UniformDistribution dist;
-  Rng dataRng(22);
-  const auto values = data::generateValueSets(6, 5, dist, dataRng);
-  Rng rng(23);
-  const GroupedSimulatedResult res =
-      runGroupedSimulated(values, exactParams(2), 3, nullptr, rng);
-  EXPECT_EQ(res.groups, 1u);
-  EXPECT_EQ(res.result, data::trueTopK(values, 2));
-}
-
-TEST(RunGroupedSimulated, RejectsTinyGroups) {
-  Rng rng(24);
-  EXPECT_THROW((void)runGroupedSimulated({{1}, {2}, {3}}, exactParams(1), 2,
-                                         nullptr, rng),
-               ConfigError);
-}
-
 TEST(RunGrouped, RejectsTinyGroups) {
   Rng rng(10);
-  EXPECT_THROW((void)runGrouped({{1}, {2}, {3}}, exactParams(1), 2, rng),
+  EXPECT_THROW((void)runGrouped({{1}, {2}, {3}}, exactParams(1),
+                                ProtocolKind::Probabilistic, 2, rng),
                ConfigError);
 }
 
@@ -110,7 +83,8 @@ TEST(RunGrouped, ManyTrialsAlwaysExact) {
   Rng rng(12);
   for (int t = 0; t < 10; ++t) {
     const auto values = data::generateValueSets(20, 8, dist, dataRng);
-    const GroupedRunResult res = runGrouped(values, exactParams(4), 4, rng);
+    const GroupedRunResult res = runGrouped(
+        values, exactParams(4), ProtocolKind::Probabilistic, 4, rng);
     EXPECT_EQ(res.result, data::trueTopK(values, 4)) << "trial " << t;
   }
 }
@@ -163,24 +137,6 @@ TEST(RunGroupedProperty, ArbitraryPartitionEqualsFlatTruth) {
     EXPECT_EQ(res.result, data::trueTopK(values, 3)) << groups << " groups";
     EXPECT_EQ(res.groups, groups);
   }
-}
-
-TEST(RunGroupedProperty, PlanReplayMatchesSimulatedReplay) {
-  data::UniformDistribution dist;
-  Rng dataRng(32);
-  const auto values = data::generateValueSets(13, 6, dist, dataRng);
-  Rng planRng(33);
-  const GroupPlan plan = randomPlan(values.size(), 4, planRng);
-  ProtocolParams params = exactParams(2);
-  Rng runnerRng(7);
-  const GroupedRunResult runnerOut = runGroupedWithPlan(
-      values, params, ProtocolKind::Probabilistic, plan, runnerRng);
-  Rng simRng(7);
-  const GroupedSimulatedResult simOut = runGroupedSimulatedWithPlan(
-      values, params, ProtocolKind::Probabilistic, plan, nullptr, simRng);
-  // Pinned seeds: the two replay engines must agree bit-for-bit.
-  EXPECT_EQ(simOut.result, runnerOut.result);
-  EXPECT_EQ(simOut.groups, runnerOut.groups);
 }
 
 TEST(RunGroupedProperty, FuzzRandomShapesAlwaysExact) {

@@ -1,0 +1,624 @@
+// query::ServiceSim: the live service's ServiceCore in virtual time.
+//
+// The SimulatedRun / RunGroupedSimulated cases pin the simulator's
+// contract (virtual-time cost, crash recovery, grouped parallelism); the
+// ServiceSimSweep cases run hundreds of seeded federations - flat,
+// aggregate, segmented and grouped queries under latency jitter, drops and
+// crashes - and check the protocol invariants after every event.  A sweep
+// failure names its (seed, FaultSpec), which replays it exactly.
+
+#include "query/service_sim.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
+#include <sstream>
+
+#include "common/error.hpp"
+#include "common/logging.hpp"
+#include "data/generator.hpp"
+#include "protocol/group.hpp"
+#include "protocol/runner.hpp"
+
+namespace privtopk::query {
+namespace {
+
+QueryDescriptor topK(std::uint64_t id, std::size_t k, Round rounds = 12) {
+  QueryDescriptor d;
+  d.queryId = id;
+  d.type = QueryType::TopK;
+  d.tableName = "sales";
+  d.attribute = "revenue";
+  d.params.k = k;
+  d.params.rounds = rounds;
+  return d;
+}
+
+std::vector<NodeId> identityRing(std::size_t n) {
+  std::vector<NodeId> ring(n);
+  for (std::size_t i = 0; i < n; ++i) ring[i] = static_cast<NodeId>(i);
+  return ring;
+}
+
+std::vector<std::uint64_t> seedsFrom(std::uint64_t base, std::size_t n) {
+  std::vector<std::uint64_t> seeds(n);
+  for (std::size_t i = 0; i < n; ++i) seeds[i] = base + i;
+  return seeds;
+}
+
+/// Runs `descriptor` initiated by node 0 over the identity ring and
+/// returns the sim for inspection.
+std::unique_ptr<ServiceSim> runQuery(
+    const std::vector<data::PrivateDatabase>& dbs,
+    const QueryDescriptor& descriptor, SimOptions options = {},
+    std::uint64_t seedBase = 100) {
+  auto sim = std::make_unique<ServiceSim>(dbs, seedsFrom(seedBase, dbs.size()),
+                                          std::move(options));
+  sim->initiate(descriptor, identityRing(dbs.size()));
+  sim->run();
+  return sim;
+}
+
+TopKVector resultOf(const ServiceSim& sim, std::uint64_t queryId) {
+  const ServiceSim::Retired* outcome = sim.outcome(queryId);
+  if (outcome == nullptr || !outcome->result) return {};
+  return *outcome->result;
+}
+
+// ---------------------------------------------------------------------------
+// The simulator's contract.
+
+TEST(SimulatedRun, CorrectWithoutFailures) {
+  const auto dbs = data::fleetFromValues({{30}, {10}, {40}, {20}});
+  const auto sim = runQuery(dbs, topK(1, 1));
+  EXPECT_EQ(resultOf(*sim, 1), (TopKVector{40}));
+  EXPECT_GT(sim->outcome(1)->at, 0.0);
+  for (NodeId node = 0; node < 4; ++node) {
+    EXPECT_EQ(sim->core(node).resultOf(1), (TopKVector{40}));
+    EXPECT_EQ(sim->core(node).activeQueries(), 0u);
+  }
+}
+
+TEST(SimulatedRun, VirtualTimeScalesWithLatency) {
+  const auto dbs = data::fleetFromValues({{30}, {10}, {40}, {20}});
+  const sim::FixedLatency slow(10.0);
+  const sim::FixedLatency fast(1.0);
+  SimOptions options;
+  options.latency = &fast;
+  const auto fastRun = runQuery(dbs, topK(1, 1), options);
+  options.latency = &slow;
+  const auto slowRun = runQuery(dbs, topK(1, 1), options);
+  EXPECT_EQ(resultOf(*fastRun, 1), resultOf(*slowRun, 1));
+  EXPECT_NEAR(slowRun->outcome(1)->at, fastRun->outcome(1)->at * 10.0, 1e-6);
+}
+
+TEST(SimulatedRun, CompletionTimeMatchesHopCount) {
+  // With 1 ms fixed latency, r rounds over n nodes need r*n hops; the
+  // initiator holds the answer when the last round's token returns (the
+  // announce travels ahead of the first token, off the critical path).
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}, {4}});
+  const auto sim = runQuery(dbs, topK(1, 1, 5));
+  EXPECT_DOUBLE_EQ(sim->outcome(1)->at, 5.0 * 4.0);
+}
+
+TEST(SimulatedRun, TopKWithRandomLatency) {
+  data::UniformDistribution dist;
+  Rng dataRng(4);
+  const auto values = data::generateValueSets(6, 10, dist, dataRng);
+  const sim::ExponentialLatency wan(5.0, 20.0);
+  SimOptions options;
+  options.latency = &wan;
+  options.latencySeed = 5;
+  const auto sim = runQuery(data::fleetFromValues(values), topK(1, 3), options);
+  EXPECT_EQ(resultOf(*sim, 1), data::trueTopK(values, 3));
+}
+
+TEST(SimulatedRun, SurvivesNodeFailureWithRingRepair) {
+  // Node 2 is down from the start: its predecessor condemns it after
+  // deadAfterFailures refused sends and splices it out.  Its value never
+  // enters; the result is the top over the survivors.
+  const auto dbs = data::fleetFromValues({{30}, {10}, {9999}, {20}});
+  SimOptions options;
+  options.faults = net::FaultSpec::parse("crash:2@0");
+  const auto sim = runQuery(dbs, topK(1, 1), options);
+  EXPECT_EQ(resultOf(*sim, 1), (TopKVector{30}));
+  EXPECT_TRUE(sim->crashed(2));
+  for (NodeId node : {0u, 1u, 3u}) {
+    EXPECT_EQ(sim->core(node).resultOf(1), (TopKVector{30})) << node;
+  }
+}
+
+TEST(SimulatedRun, LateFailureAfterContributionKeepsValue) {
+  // Node 2 dies on its third send (the round-2 token), after the exact
+  // protocol has captured its value in round 1; the result keeps it.
+  const auto dbs = data::fleetFromValues({{30}, {10}, {9999}, {20}});
+  QueryDescriptor d = topK(1, 1, 8);
+  d.params.p0 = 0.0;  // deterministic: the value enters in round 1
+  SimOptions options;
+  options.faults = net::FaultSpec::parse("crash:2@2");
+  const auto sim = runQuery(dbs, d, options);
+  EXPECT_EQ(resultOf(*sim, 1), (TopKVector{9999}));
+  EXPECT_TRUE(sim->crashed(2));
+}
+
+TEST(SimulatedRun, MultipleFailures) {
+  const auto dbs = data::fleetFromValues({{30}, {10}, {40}, {20}, {35}});
+  SimOptions options;
+  options.faults = net::FaultSpec::parse("crash:2@0,crash:4@0");
+  const auto sim = runQuery(dbs, topK(1, 1), options);
+  EXPECT_EQ(resultOf(*sim, 1), (TopKVector{30}));
+  EXPECT_TRUE(sim->crashed(2));
+  EXPECT_TRUE(sim->crashed(4));
+}
+
+TEST(SimulatedRun, ControllerFailurePromotesSuccessor) {
+  // Crash each node in turn as it deals or passes round 2.  When the
+  // initiator dies, its predecessor splices it out and the next node
+  // becomes the ring's controller; the survivors still finish and agree.
+  // With p0 = 0 every value was merged in round 1, so even a crashed
+  // max-holder's value survives in the vector.
+  const auto dbs = data::fleetFromValues({{30}, {10}, {40}, {20}});
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    for (NodeId node = 0; node < 4; ++node) {
+      QueryDescriptor d = topK(1, 1, 6);
+      d.params.p0 = 0.0;
+      SimOptions options;
+      options.faults = net::FaultSpec::parse("crash:" + std::to_string(node) +
+                                             "@2");
+      const auto sim = runQuery(dbs, d, options, 100 + seed * 8);
+      for (NodeId survivor = 0; survivor < 4; ++survivor) {
+        if (survivor == node) continue;
+        EXPECT_EQ(sim->core(survivor).resultOf(1), (TopKVector{40}))
+            << "seed " << seed << " crashed " << node << " survivor "
+            << survivor;
+      }
+    }
+  }
+}
+
+TEST(SimulatedRun, MessageCountAccounting) {
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
+  const auto sim = runQuery(dbs, topK(1, 1, 4));
+  // The announce pass (3 hops), 4 rounds * 3 hops, and the result
+  // dissemination pass (3 hops).
+  EXPECT_EQ(sim->sends().size(), 3u + 4u * 3u + 3u);
+}
+
+TEST(SimulatedRun, TraceMatchesSynchronousSemantics) {
+  data::UniformDistribution dist;
+  Rng dataRng(10);
+  const auto values = data::generateValueSets(4, 5, dist, dataRng);
+  SimOptions options;
+  options.service.captureTraces = true;
+  const auto sim =
+      runQuery(data::fleetFromValues(values), topK(1, 2), options);
+  // Each node records its own steps; merged in ring order they chain
+  // exactly like the synchronous runner's trace.
+  std::vector<protocol::TraceStep> steps;
+  for (NodeId node = 0; node < 4; ++node) {
+    const auto trace = sim->core(node).traceOf(1);
+    ASSERT_TRUE(trace.has_value()) << node;
+    EXPECT_EQ(trace->result, resultOf(*sim, 1));
+    steps.insert(steps.end(), trace->steps.begin(), trace->steps.end());
+  }
+  std::sort(steps.begin(), steps.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.round, a.position) < std::tie(b.round, b.position);
+  });
+  ASSERT_EQ(steps.size(), 12u * 4u);
+  for (std::size_t i = 1; i < steps.size(); ++i) {
+    EXPECT_EQ(steps[i].input, steps[i - 1].output) << "step " << i;
+  }
+  EXPECT_EQ(steps.back().output, resultOf(*sim, 1));
+}
+
+TEST(SimulatedRun, NeedsThreeNodes) {
+  const auto dbs = data::fleetFromValues({{1}, {2}});
+  ServiceSim sim(dbs, {1, 2});
+  EXPECT_THROW(sim.initiate(topK(1, 1), {0, 1}), ConfigError);
+}
+
+TEST(SimulatedRun, RejectsPerRoundRemap) {
+  // The service routes every round on one agreed ring; the runner keeps
+  // the §4.3 remap for the privacy experiments.
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
+  ServiceSim sim(dbs, {1, 2, 3});
+  QueryDescriptor d = topK(1, 1);
+  d.params.remapEachRound = true;
+  EXPECT_THROW(sim.initiate(d, {0, 1, 2}), ConfigError);
+}
+
+TEST(ServiceCore, AnnounceWithPerRoundRemapIsDropped) {
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
+  ServiceCore core(1, dbs[1], 7, ServiceOptions{}, nullptr);
+  QueryDescriptor d = topK(5, 1);
+  d.params.remapEachRound = true;
+  net::QueryAnnounce announce;
+  announce.queryId = 5;
+  announce.descriptor = d.encode();
+  announce.ringOrder = {0, 1, 2};
+  const std::uint64_t before = core.metrics().droppedMessages.value();
+  const ServiceCore::Effects fx =
+      core.onMessage(0, net::Message{announce}, 0, {});
+  EXPECT_TRUE(fx.sends.empty());
+  EXPECT_TRUE(fx.scans.empty());
+  EXPECT_EQ(core.activeQueries(), 0u);
+  EXPECT_EQ(core.metrics().droppedMessages.value(), before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// Grouped execution (§4.2) in virtual time.
+
+QueryDescriptor grouped(std::uint64_t id, std::size_t k,
+                        std::size_t groupSize) {
+  QueryDescriptor d = topK(id, k, 15);
+  d.groupSize = groupSize;
+  return d;
+}
+
+std::size_t phaseOneGroupsRun(const ServiceSim& sim, std::uint64_t parentId) {
+  std::set<std::uint64_t> groups;
+  for (std::size_t g = 0; g < sim.nodes(); ++g) {
+    const std::uint64_t subId = protocol::groupSubQueryId(parentId, g);
+    for (const auto& retired : sim.retirements()) {
+      if (retired.queryId == subId && retired.result) groups.insert(subId);
+    }
+  }
+  return groups.size();
+}
+
+TEST(RunGroupedSimulated, ParallelTimeBeatsFlat) {
+  data::UniformDistribution dist;
+  Rng dataRng(20);
+  const auto values = data::generateValueSets(64, 5, dist, dataRng);
+  const auto dbs = data::fleetFromValues(values);
+  const sim::FixedLatency latency(2.0);
+  SimOptions options;
+  options.latency = &latency;
+  const auto groupedRun = runQuery(dbs, grouped(1, 1, 8), options);
+  const auto flatRun = runQuery(dbs, topK(1, 1, 15), options);
+  EXPECT_EQ(resultOf(*groupedRun, 1), data::trueTopK(values, 1));
+  EXPECT_EQ(resultOf(*flatRun, 1), data::trueTopK(values, 1));
+  EXPECT_EQ(phaseOneGroupsRun(*groupedRun, 1), 8u);
+  // 8 parallel rings of 8 + one delegate ring of 8 vs a flat ring of 64.
+  EXPECT_LT(groupedRun->outcome(1)->at, flatRun->outcome(1)->at / 2);
+}
+
+TEST(RunGroupedSimulated, HealthySlowQueryRetransmitsNothing) {
+  // 15 nodes in three groups of 5 over 200-ms links: a group round takes
+  // 1 s, the coordinator's phase 1 takes 2 s.  With retransmitAfter
+  // (1.5 s) above every ring's round trip, a healthy query resends nothing
+  // - in particular not the phase-1 fan-out while the coordinator's own
+  // group is still running - so it sends exactly the messages of a run
+  // with retransmission off.
+  data::UniformDistribution dist;
+  Rng dataRng(40);
+  const auto values = data::generateValueSets(15, 4, dist, dataRng);
+  const auto dbs = data::fleetFromValues(values);
+  const sim::FixedLatency wan(200.0);
+  SimOptions options;
+  options.latency = &wan;
+  QueryDescriptor d = grouped(1, 1, 5);
+  d.params.rounds = 2;
+  d.params.p0 = 0.0;  // exact after round 1
+  options.service.retransmitAfter = std::chrono::milliseconds(0);
+  const auto silent = runQuery(dbs, d, options);
+  options.service.retransmitAfter = std::chrono::milliseconds(1'500);
+  const std::uint64_t before = ServiceCore::Metrics().retransmits.value();
+  const auto run = runQuery(dbs, d, options);
+  EXPECT_EQ(ServiceCore::Metrics().retransmits.value(), before);
+  EXPECT_EQ(run->sends().size(), silent->sends().size());
+  EXPECT_EQ(resultOf(*run, 1), data::trueTopK(values, 1));
+  EXPECT_EQ(phaseOneGroupsRun(*run, 1), 3u);
+  EXPECT_GT(run->outcome(1)->at, 3'000.0);
+}
+
+TEST(RunGroupedSimulated, FallsBackToFlat) {
+  data::UniformDistribution dist;
+  Rng dataRng(22);
+  const auto values = data::generateValueSets(6, 5, dist, dataRng);
+  const auto sim = runQuery(data::fleetFromValues(values), grouped(1, 2, 3));
+  EXPECT_EQ(phaseOneGroupsRun(*sim, 1), 0u);
+  EXPECT_EQ(resultOf(*sim, 1), data::trueTopK(values, 2));
+}
+
+TEST(RunGroupedSimulated, RejectsTinyGroups) {
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
+  ServiceSim sim(dbs, {1, 2, 3});
+  EXPECT_THROW(sim.initiate(grouped(1, 1, 2), {0, 1, 2}), ConfigError);
+}
+
+/// The plan a grouped service run follows: the coordinator's layout and
+/// every member's derived per-phase seeds (node ids double as value-set
+/// indices on the identity ring).
+protocol::GroupPlan planFor(const QueryDescriptor& descriptor,
+                            const std::vector<std::uint64_t>& seeds) {
+  const std::vector<NodeId> ring = identityRing(seeds.size());
+  Rng layoutRng(protocol::groupLayoutSeed(seeds.front(), descriptor.queryId));
+  const protocol::GroupLayout layout = protocol::makeGroupLayout(
+      ring, ring.front(), descriptor.groupSize, layoutRng);
+  protocol::GroupPlan plan;
+  for (const auto& group : layout.groups) {
+    std::vector<std::size_t> members;
+    std::vector<std::uint64_t> groupSeeds;
+    for (NodeId node : group) {
+      members.push_back(node);
+      groupSeeds.push_back(
+          protocol::groupPhaseSeed(seeds[node], descriptor.queryId, 1));
+    }
+    plan.groups.push_back(std::move(members));
+    plan.groupSeeds.push_back(std::move(groupSeeds));
+    plan.mergeSeeds.push_back(protocol::groupPhaseSeed(
+        seeds[group.front()], descriptor.queryId, 2));
+  }
+  return plan;
+}
+
+TEST(RunGroupedProperty, PlanReplayMatchesSimulatedReplay) {
+  // 13 nodes in groups of 3: four group rings, one of them of 4 members.
+  data::UniformDistribution dist;
+  Rng dataRng(32);
+  const auto values = data::generateValueSets(13, 6, dist, dataRng);
+  const QueryDescriptor d = grouped(9, 2, 3);
+  const auto sim = runQuery(data::fleetFromValues(values), d, {}, 300);
+  protocol::ProtocolParams params = d.params;
+  params.k = d.effectiveK();
+  Rng runnerRng(7);
+  const protocol::GroupedRunResult runnerOut = protocol::runGroupedWithPlan(
+      values, params, d.kind, planFor(d, seedsFrom(300, 13)), runnerRng);
+  // Pinned seeds: the runner's plan replay and the simulated services
+  // agree bit for bit.
+  EXPECT_EQ(resultOf(*sim, 9), runnerOut.result);
+  EXPECT_EQ(phaseOneGroupsRun(*sim, 9), runnerOut.groups);
+}
+
+// ---------------------------------------------------------------------------
+// Seed sweeps with invariants checked after every event.
+
+/// Quiets the services' per-retransmission warnings for a sweep.
+class QuietLogs {
+ public:
+  QuietLogs() : saved_(logLevel()) { setLogLevel(LogLevel::Error); }
+  ~QuietLogs() { setLogLevel(saved_); }
+
+ private:
+  LogLevel saved_;
+};
+
+enum class Shape { Flat, Aggregate, Segmented, Grouped };
+
+const char* shapeName(Shape shape) {
+  switch (shape) {
+    case Shape::Flat: return "flat";
+    case Shape::Aggregate: return "aggregate";
+    case Shape::Segmented: return "segmented";
+    case Shape::Grouped: return "grouped";
+  }
+  return "?";
+}
+
+QueryDescriptor descriptorFor(Shape shape, std::uint64_t id, std::size_t k) {
+  QueryDescriptor d = topK(id, k, 6);
+  switch (shape) {
+    case Shape::Flat: break;
+    case Shape::Aggregate:
+      d.type = QueryType::Sum;
+      d.params = protocol::ProtocolParams{};
+      break;
+    case Shape::Segmented:
+      d.params.rounds.reset();
+      d.params.mechanism.kind = protocol::MechanismKind::Segmented;
+      d.params.mechanism.segments = 3;
+      break;
+    case Shape::Grouped: d.groupSize = 3; break;
+  }
+  return d;
+}
+
+/// The answer the synchronous runner gives for the same pinned seeds
+/// (aggregates: the plain total).
+TopKVector expectedAnswer(const QueryDescriptor& d,
+                          const std::vector<std::vector<Value>>& values,
+                          const std::vector<std::uint64_t>& seeds) {
+  if (d.isAggregate()) {
+    Value total = 0;
+    for (const auto& node : values) {
+      for (Value v : node) total += v;
+    }
+    return {total};
+  }
+  protocol::ProtocolParams params = d.params;
+  params.k = d.effectiveK();
+  Rng rng(7);
+  if (d.groupSize >= 3 && values.size() / d.groupSize >= 3) {
+    return protocol::runGroupedWithPlan(values, params, d.kind,
+                                        planFor(d, seeds), rng)
+        .result;
+  }
+  protocol::core::EngineOverrides overrides;
+  overrides.ringOrder = identityRing(values.size());
+  overrides.nodeSeeds = seeds;
+  return protocol::RingQueryRunner(params, d.kind)
+      .run(values, rng, overrides)
+      .result;
+}
+
+/// Checks the per-event invariants; records the first violation.
+class InvariantChecker {
+ public:
+  explicit InvariantChecker(std::chrono::milliseconds staleAfter)
+      : staleAfterMs_(static_cast<double>(staleAfter.count())) {}
+
+  void operator()(const ServiceSim& sim) {
+    if (!violation_.empty()) return;
+    const auto now = sim.timePoint();
+    for (NodeId node = 0; node < sim.nodes(); ++node) {
+      if (sim.crashed(node)) continue;
+      const ServiceCore& core = sim.core(node);
+      for (const ServiceCore::ActiveView& q : core.activeView()) {
+        if (!q.aborted && q.ringSize < protocol::core::kMinRingSize) {
+          fail(sim, node, "query " + std::to_string(q.queryId) +
+                            " runs on a ring of " +
+                            std::to_string(q.ringSize));
+        }
+        const double ageMs =
+            std::chrono::duration<double, std::milli>(now - q.registeredAt)
+                .count();
+        if (ageMs > staleAfterMs_ + 2.0 * kMaintainInterval.count()) {
+          fail(sim, node, "query " + std::to_string(q.queryId) +
+                            " outlived staleAfter");
+        }
+      }
+      if (core.activeQueries() == 0 && core.stashedMessages() != 0) {
+        fail(sim, node, "stash outlived its grouped query");
+      }
+    }
+    const auto& retired = sim.retirements();
+    for (; seenRetirements_ < retired.size(); ++seenRetirements_) {
+      const auto& r = retired[seenRetirements_];
+      if (!retiredOnce_.insert({r.node, r.queryId}).second) {
+        fail(sim, r.node,
+             "retired query " + std::to_string(r.queryId) + " twice");
+      }
+    }
+  }
+
+  [[nodiscard]] const std::string& violation() const { return violation_; }
+
+ private:
+  void fail(const ServiceSim& sim, NodeId node, const std::string& what) {
+    if (!violation_.empty()) return;
+    std::ostringstream os;
+    os << "t=" << sim.now() << "ms node " << node << ": " << what;
+    violation_ = os.str();
+  }
+
+  double staleAfterMs_;
+  std::size_t seenRetirements_ = 0;
+  std::set<std::pair<NodeId, std::uint64_t>> retiredOnce_;
+  std::string violation_;
+};
+
+struct SweepCase {
+  std::uint64_t seed = 0;
+  Shape shape = Shape::Flat;
+  net::FaultSpec faults;
+};
+
+std::string describe(const SweepCase& c) {
+  return "seed=" + std::to_string(c.seed) + " shape=" + shapeName(c.shape) +
+         " spec=\"" + c.faults.toString() + "\"";
+}
+
+/// Runs one sweep case and checks the invariants, the answer and
+/// convergence.  Nodes 0..n-1 hold `values`; node 0 initiates.
+void runCase(const SweepCase& c,
+             const std::vector<std::vector<Value>>& values) {
+  SCOPED_TRACE(describe(c));
+  const auto dbs = data::fleetFromValues(values);
+  const auto seeds = seedsFrom(c.seed * 64 + 1, values.size());
+  const sim::UniformLatency jitter(0.5, 3.0);
+  SimOptions options;
+  options.latency = &jitter;
+  options.latencySeed = c.seed;
+  options.faults = c.faults;
+  options.service.staleAfter = std::chrono::milliseconds(20'000);
+  const QueryDescriptor d = descriptorFor(c.shape, c.seed + 1, 2);
+  ServiceSim sim(dbs, seeds, options);
+  InvariantChecker checker(options.service.staleAfter);
+  sim.setObserver(std::ref(checker));
+  sim.initiate(d, identityRing(values.size()));
+  sim.run();
+  ASSERT_EQ(checker.violation(), "");
+
+  // Convergence: every live node ends with no state and no stash.
+  for (NodeId node = 0; node < sim.nodes(); ++node) {
+    if (sim.crashed(node)) continue;
+    EXPECT_EQ(sim.core(node).activeQueries(), 0u) << "node " << node;
+    EXPECT_EQ(sim.core(node).stashedMessages(), 0u) << "node " << node;
+  }
+  if (!c.faults.crashes.empty()) return;
+  // Without crashes every message lost is retransmitted identically, so
+  // each node ends with exactly the fault-free runner's answer.
+  const TopKVector expected = expectedAnswer(d, values, seeds);
+  for (NodeId node = 0; node < sim.nodes(); ++node) {
+    EXPECT_EQ(sim.core(node).resultOf(d.queryId), expected)
+        << "node " << node;
+  }
+}
+
+TEST(ServiceSimSweep, SeededFederationsHoldInvariants) {
+  const QuietLogs quiet;
+  constexpr std::uint64_t kSeeds = 480;
+  std::size_t faulted = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Rng shapeRng(seed);
+    SweepCase c;
+    c.seed = seed;
+    c.shape = static_cast<Shape>(seed % 4);
+    const std::size_t n = c.shape == Shape::Grouped ? 9 + shapeRng.index(4)
+                                                    : 3 + shapeRng.index(5);
+    data::UniformDistribution dist;
+    const auto values = data::generateValueSets(n, 4, dist, shapeRng);
+    // A third fault-free, a third with drops, a third with drops and a
+    // crash.
+    const std::uint64_t mode = (seed / 4) % 3;
+    if (mode >= 1) {
+      for (int i = 0; i < 3; ++i) {
+        const auto from = static_cast<NodeId>(shapeRng.index(n));
+        c.faults.drops.push_back(
+            {from, static_cast<NodeId>((from + 1) % n),
+             1 + shapeRng.index(8)});
+      }
+    }
+    if (mode == 2) {
+      c.faults.crashes.push_back(
+          {static_cast<NodeId>(1 + shapeRng.index(n - 1)),
+           shapeRng.index(12)});
+    }
+    faulted += c.faults.empty() ? 0 : 1;
+    runCase(c, values);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(faulted, kSeeds / 2);
+}
+
+TEST(ServiceSimSweep, DropEachMessageOfAGroupedQuery) {
+  // Which hop a fixed-position drop hits depends on thread timing in a
+  // live federation; here every message of one grouped query is dropped
+  // in turn.  Each run must still converge to the fault-free answer on
+  // every node - including drops of the final result's dissemination,
+  // which the members' result-replay probe recovers.
+  const QuietLogs quiet;
+  data::UniformDistribution dist;
+  Rng dataRng(55);
+  const auto values = data::generateValueSets(9, 4, dist, dataRng);
+  SweepCase base;
+  base.seed = 3;
+  base.shape = Shape::Grouped;
+
+  // The fault-free run names the nth message's link and its index on it.
+  const auto dbs = data::fleetFromValues(values);
+  const sim::UniformLatency jitter(0.5, 3.0);
+  SimOptions options;
+  options.latency = &jitter;
+  options.latencySeed = base.seed;
+  ServiceSim reference(dbs, seedsFrom(base.seed * 64 + 1, values.size()),
+                       options);
+  reference.initiate(descriptorFor(Shape::Grouped, base.seed + 1, 2),
+                     identityRing(values.size()));
+  reference.run();
+  const auto& sends = reference.sends();
+  ASSERT_GT(sends.size(), 40u);
+  std::map<std::pair<NodeId, NodeId>, std::size_t> perLink;
+  for (const auto& link : sends) {
+    SweepCase c = base;
+    c.faults.drops.push_back({link.first, link.second, ++perLink[link]});
+    runCase(c, values);
+    if (HasFatalFailure()) return;
+  }
+}
+
+}  // namespace
+}  // namespace privtopk::query

@@ -87,6 +87,17 @@ TEST(NodeService, SingleTopKQuery) {
   EXPECT_EQ(future.get(), data::trueTopK(cluster.rawValues(), 3));
 }
 
+TEST(NodeService, InitiateRejectsPerRoundRemap) {
+  // Every node routes every round on the one agreed ring; the §4.3
+  // per-round remap runs only in the synchronous runner.
+  Cluster cluster(3);
+  QueryDescriptor d = descriptor(3);
+  d.params.remapEachRound = true;
+  EXPECT_THROW((void)cluster.services[0]->initiate(d, cluster.ringFrom(0)),
+               ConfigError);
+  EXPECT_EQ(cluster.services[0]->activeQueries(), 0u);
+}
+
 TEST(NodeService, FollowersLearnTheResultToo) {
   Cluster cluster(4);
   auto future = cluster.services[1]->initiate(descriptor(2),
@@ -216,7 +227,9 @@ TEST(NodeService, StaleQueriesGarbageCollected) {
   Rng rng(77);
   const auto dbs = data::generateFleet(spec, rng);
   net::InProcTransport transport(1);
-  NodeService service(0, dbs[0], transport, 78, /*staleAfter=*/200ms);
+  ServiceOptions options;
+  options.staleAfter = 200ms;
+  NodeService service(0, dbs[0], transport, 78, options);
   service.start();
 
   auto future = service.initiate(descriptor(60, QueryType::Max), {0, 1, 2});

@@ -158,7 +158,8 @@ TEST(ServiceTrace, GroupedNineNodeQueryYieldsOneMergedTimeline) {
   // brackets the whole execution up to alignment jitter (the zero-latency
   // handshake assumption shifts follower spans slightly, so exact
   // bracketing is not guaranteed even on one in-process clock).
-  EXPECT_GE(timeline.phases.at("query").computeNs, timeline.totalNs / 2);
+  EXPECT_GE(timeline.phases.at("query").computeNs, timeline.totalNs / 2)
+      << obs::renderTimeline(timeline);
 }
 
 /// Forces the cross-key race of a grouped member: the first phase-1
@@ -200,11 +201,12 @@ class HoldGroupResultUntilFinal final : public net::Transport {
     const net::Envelope held = std::move(held_);
     lock.unlock();
     inner_.send(from, to, payload);
-    const auto deadline = std::chrono::steady_clock::now() + 200ms;
+    const auto deadline = std::chrono::steady_clock::now() + kGrace;
     while (!parentDone_(to) && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(1ms);
     }
     inner_.send(held.from, held.to, held.payload);
+    heldMember_ = held.to;
     released_ = true;
   }
   std::optional<net::Envelope> receive(
@@ -215,6 +217,11 @@ class HoldGroupResultUntilFinal final : public net::Transport {
 
   /// The phase-1 result really was held and released behind the final one.
   [[nodiscard]] bool released() const { return released_.load(); }
+  /// The member whose phase-1 result was held (valid once released()).
+  [[nodiscard]] NodeId heldMember() const { return heldMember_.load(); }
+  /// How long the final result waited at that member before the phase-1
+  /// result followed it.
+  static constexpr std::chrono::milliseconds kGrace{200};
 
  private:
   [[nodiscard]] bool isPhaseOne(std::uint64_t queryId) const {
@@ -230,6 +237,7 @@ class HoldGroupResultUntilFinal final : public net::Transport {
   bool holding_ = false;  // guarded by mutex_
   net::Envelope held_;    // guarded by mutex_
   std::atomic<bool> released_{false};
+  std::atomic<NodeId> heldMember_{0};
 };
 
 TEST(ServiceTrace, MemberSeeingFinalResultBeforeItsGroupResultKeepsGroupPhase) {
@@ -264,6 +272,48 @@ TEST(ServiceTrace, MemberSeeingFinalResultBeforeItsGroupResultKeepsGroupPhase) {
   const obs::TraceTimeline timeline = obs::buildTimeline(all, traceIds[0]);
   ASSERT_TRUE(timeline.phases.contains("group_phase"));
   EXPECT_EQ(timeline.phases.at("group_phase").count, 9u);
+}
+
+TEST(ServiceTrace, StashedFinalResultRecordsItsWaitInTheStash) {
+  // The member holds the final result in its stash until its phase-1
+  // result arrives (at least the hold's grace period later).  Its
+  // "result_dissemination" span must record that wait as queue time, as
+  // for any message that sat in a queue; a replay that claimed no wait
+  // would make the timeline shift the member's spans by the whole hold.
+  HoldGroupResultUntilFinal* hold = nullptr;
+  TracedCluster cluster(9, tracedOptions(), [&](net::Transport& inner) {
+    auto wrapper = std::make_unique<HoldGroupResultUntilFinal>(inner, 1, 3);
+    hold = wrapper.get();
+    return wrapper;
+  });
+  hold->watch([&](NodeId node) {
+    return cluster.services[node]->resultOf(1).has_value();
+  });
+  auto future =
+      cluster.services[0]->initiate(groupedDescriptor(1), cluster.ring());
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready);
+  for (const auto& service : cluster.services) {
+    ASSERT_TRUE(service->waitFor(1, 5000ms).has_value());
+  }
+  cluster.drain();
+  ASSERT_TRUE(hold->released());
+
+  const NodeId member = hold->heldMember();
+  std::int64_t waitedNs = -1;
+  for (const obs::SpanRecord& span :
+       cluster.services[member]->spansForQuery(1)) {
+    if (span.name == "result_dissemination" && span.queryId == 1) {
+      waitedNs = span.queueNs;
+    }
+  }
+  ASSERT_GE(waitedNs, 0) << "member " << member << " emitted no span";
+  // The hold spans the grace period from the final result's send to the
+  // held result's; both travel through the poll pump, whose latency
+  // shifts either end by a few ms (more under TSan), so ask for half.
+  EXPECT_GE(waitedNs, std::chrono::nanoseconds(
+                          HoldGroupResultUntilFinal::kGrace / 2)
+                          .count())
+      << "member " << member;
 }
 
 TEST(ServiceTrace, FlatQueryTraceHasRoundPerRing) {

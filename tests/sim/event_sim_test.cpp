@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "sim/failure.hpp"
 
 namespace privtopk::sim {
 namespace {
@@ -100,20 +99,6 @@ TEST(LatencyModels, ExponentialAboveBase) {
   }
   EXPECT_NEAR(sum / 5000, 15.0, 0.5);
   EXPECT_THROW(ExponentialLatency(1.0, 0.0), ConfigError);
-}
-
-TEST(FailurePlan, CrashTimes) {
-  FailurePlan plan;
-  EXPECT_TRUE(plan.empty());
-  plan.crashAt(3, 100.0);
-  EXPECT_FALSE(plan.empty());
-  EXPECT_EQ(plan.count(), 1u);
-  EXPECT_FALSE(plan.isFailed(3, 99.9));
-  EXPECT_TRUE(plan.isFailed(3, 100.0));
-  EXPECT_TRUE(plan.isFailed(3, 500.0));
-  EXPECT_FALSE(plan.isFailed(2, 500.0));
-  EXPECT_EQ(plan.crashTime(3), 100.0);
-  EXPECT_EQ(plan.crashTime(2), std::nullopt);
 }
 
 }  // namespace
