@@ -1,6 +1,7 @@
 #include "net/message.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace privtopk::net {
 
@@ -68,6 +69,7 @@ Bytes encodeMessage(const Message& message) {
     w.writeU64(announce.parentQueryId);
     w.writeU8(announce.phase);
     w.writeU32(announce.groupSize);
+    if (announce.phase == 1) w.writeVarint(announce.groups);
     w.writeVarint(announce.mechanismId);
     if (announce.mechanismId == 1) {
       w.writeVarint(announce.segments);
@@ -133,6 +135,15 @@ Message decodeMessage(std::span<const std::uint8_t> bytes) {
       announce.parentQueryId = r.readU64();
       announce.phase = r.readU8();
       announce.groupSize = r.readU32();
+      if (announce.phase == 1) {
+        const std::uint64_t groups = r.readVarint();
+        // A grouped query runs at least three groups.
+        if (groups < 3 ||
+            groups > std::numeric_limits<std::uint32_t>::max()) {
+          throw ProtocolError("QueryAnnounce: group count out of range");
+        }
+        announce.groups = static_cast<std::uint32_t>(groups);
+      }
       const std::uint64_t mechanism = r.readVarint();
       if (mechanism > 2) {
         throw ProtocolError("QueryAnnounce: unknown privacy mechanism");

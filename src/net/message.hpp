@@ -78,6 +78,8 @@ struct QueryAnnounce {
   std::uint64_t parentQueryId = 0;
   std::uint8_t phase = 0;      ///< 0 standalone, 1 group ring, 2 merge ring
   std::uint32_t groupSize = 0; ///< parent's requested group size (echo)
+  /// Phase 1 only: the number of groups, i.e. the merge ring's length.
+  std::uint32_t groups = 0;
 
   // Privacy-mechanism echo (protocol/mechanism.hpp).  Duplicates the
   // selection inside the (opaque) descriptor so this layer can validate

@@ -11,8 +11,8 @@
 // base transports push natively - TcpTransport on its reactor thread,
 // InProcTransport on the sending thread - so an inbound message reaches
 // the consumer with no thread of its own in between.  Decorators that
-// only implement receive() (fault injection, WAN shaping) inherit the
-// default subscribe(): one pump thread per subscribed node that polls
+// only implement receive() (fault injection) inherit the default
+// subscribe(): one pump thread per subscribed node that polls
 // receive() and calls the handler.
 
 #pragma once

@@ -458,6 +458,15 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
   (void)obs::emitChildSpan(spanSink_, rootCtx, "local_input", sub.queryId,
                            self_, 0, scan.startNs, 0);
 
+  // Phase-1 announces also carry the group count (the merge ring's
+  // length), which paces the members' result probe (onPhaseDone).
+  const auto groupAnnounce = [&](const QueryDescriptor& d, std::size_t g) {
+    net::QueryAnnounce announce = announceFor(d, layout.groups[g], parentId,
+                                              1, groupSizeWire, rootCtx);
+    announce.groups = static_cast<std::uint32_t>(layout.groups.size());
+    return announce;
+  };
+
   // Phase-1 fan-out: hand each remote group's announce straight to its
   // delegate, which forwards it and opens the ring (delegated start).
   for (std::size_t g = 1; g < layout.groups.size(); ++g) {
@@ -465,9 +474,7 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
     remote.queryId = protocol::groupSubQueryId(parentId, g);
     remote.groupSize = 0;
     parent.fanOut.push_back(Outbound{
-        remote.queryId,
-        net::encodeMessage(announceFor(remote, layout.groups[g], parentId, 1,
-                                       groupSizeWire, rootCtx)),
+        remote.queryId, net::encodeMessage(groupAnnounce(remote, g)),
         layout.groups[g].front(), false});
   }
   fx.sends = parent.fanOut;
@@ -477,10 +484,7 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
   state.initiator = true;
   state.traceCtx = rootCtx;
   buildParticipant(state, layout.groups.front(), std::move(scan.input));
-  queueSend(state,
-            announceFor(sub, layout.groups.front(), parentId, 1,
-                        groupSizeWire, rootCtx),
-            now, fx);
+  queueSend(state, groupAnnounce(sub, 0), now, fx);
   beginRounds(state, now, fx);
 }
 
@@ -622,9 +626,10 @@ void ServiceCore::onAnnounce(const net::QueryAnnounce& announce,
     QueryDescriptor parentDescriptor = descriptor;
     parentDescriptor.queryId = announce.parentQueryId;
     parentDescriptor.groupSize = announce.groupSize;
-    registerParent(parentDescriptor, announce.ringOrder, announce.queryId,
-                   in.now)
-        .traceCtx = child;
+    QueryState& parent = registerParent(parentDescriptor, announce.ringOrder,
+                                        announce.queryId, in.now);
+    parent.traceCtx = child;
+    parent.mergeRingSize = announce.groups;
     metrics_.participated.inc();
   }
   // Delegated start (§4.2): the coordinator handed this announce straight
@@ -994,6 +999,18 @@ void ServiceCore::onPhaseDone(std::uint8_t phase, std::uint64_t parentId,
     // the retransmission deadline rather than by the stale GC.
     parent.lastMessage =
         net::encodeMessage(net::RoundToken{parentId, 0, {}, {}});
+    // The merge phase runs the same rounds over the merge ring, so it is
+    // expected to take this group phase's time scaled by the two rings'
+    // lengths.  The first probe falls due retransmitAfter after that
+    // (capped at staleAfter: the group count comes off the wire).
+    const std::chrono::duration<double> mergePhase =
+        std::chrono::duration<double>(now - startedAt) *
+        static_cast<double>(parent.mergeRingSize) /
+        static_cast<double>(parent.ringOrder.size());
+    parent.lastActivity =
+        now + std::chrono::duration_cast<TimePoint::duration>(std::min(
+                  mergePhase,
+                  std::chrono::duration<double>(options_.staleAfter)));
   }
   if (parent.initiator) startMergePhase(parent, now, fx);
   replayStashed(parentId, now, fx);

@@ -11,9 +11,12 @@
 // run exactly this code: query::NodeService (the live shell) and
 // query::ServiceSim (virtual time).
 //
-// Ordering: links are FIFO per sender, so a query's announce reaches every
-// node before its first round token; a driver must feed the scan an
-// announce hands back (onScanned) before that query's next message.
+// Ordering: links are FIFO per sender, so a query's announce normally
+// reaches every node before its first round token; a driver must feed the
+// scan an announce hands back (onScanned) before that query's next
+// message.  Where a link reorders anyway, a token for a query this node
+// does not know is dropped and the sender's retransmission, announce
+// first, recovers it.
 // Order ACROSS queries is not assumed: a grouped member may see the final
 // parent-id result before its own phase-1 result, which is stashed until
 // the phase-1 hand-off.  Retransmission can introduce duplicates; per-query
@@ -311,6 +314,8 @@ class ServiceCore {
     std::optional<TopKVector> groupRaw;
     /// Full grouping, coordinator only.
     protocol::GroupLayout layout;
+    /// Members only: the merge ring's length (QueryAnnounce::groups).
+    std::size_t mergeRingSize = 0;
     /// Coordinator only: the phase-1 announces handed to the remote
     /// delegates.  The merge sub-query takes them over and resends them
     /// when it retransmits (a lost one leaves the merge ring waiting at
@@ -323,7 +328,8 @@ class ServiceCore {
     Bytes announceWire;
     Bytes lastMessage;
     // Last send or processed receive for this query; drives the
-    // retransmission deadline.
+    // retransmission deadline.  A grouped member sets it past the expected
+    // end of the merge phase (onPhaseDone).
     TimePoint lastActivity;
     // Consecutive send failures to the current successor.
     int sendFailures = 0;

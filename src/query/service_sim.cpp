@@ -19,7 +19,8 @@ ServiceSim::ServiceSim(const std::vector<data::PrivateDatabase>& dbs,
                        SimOptions options)
     : latency_(options.latency != nullptr ? options.latency
                                           : &defaultLatency_),
-      latencyRng_(options.latencySeed), faults_(std::move(options.faults)) {
+      latencyRng_(options.latencySeed), faults_(std::move(options.faults)),
+      reorder_(options.reorder) {
   if (seeds.size() != dbs.size()) {
     throw ConfigError("ServiceSim: one seed per database required");
   }
@@ -102,11 +103,15 @@ void ServiceSim::send(NodeId from, const ServiceCore::Outbound& out) {
   sends_.emplace_back(from, out.target);
   if (out.ring) cores_[from]->onSendSucceeded(out.queryId);
   if (dropped) return;
-  sim::SimTime& last = linkClock_[{from, out.target}];
-  const sim::SimTime at =
-      std::max(last, now() + latency_->sample(latencyRng_) +
-                         static_cast<sim::SimTime>(delay.count()));
-  last = at;
+  sim::SimTime at = now() + latency_->sample(latencyRng_) +
+                   static_cast<sim::SimTime>(delay.count());
+  if (latencyRng_.bernoulli(reorder_.probability)) {
+    at += reorder_.windowMs;  // displaced: later sends overtake it
+  } else {
+    sim::SimTime& last = linkClock_[{from, out.target}];
+    at = std::max(last, at);
+    last = at;
+  }
   simulator_.scheduleAt(at, [this, from, to = out.target, wire = out.wire] {
     deliver(from, to, wire);
   });

@@ -2,14 +2,17 @@
 // logic - driven single-threaded on sim::EventSimulator in virtual time
 // (milliseconds).
 //
-// Links keep the Transport contract: FIFO, with each send's latency drawn
-// from a seeded sim::LatencyModel.  Drops, link delays and fail-stop
-// crashes come from a net::FaultSpec through net::FaultState::onSend, as
-// FaultInjectingTransport applies them live: a crashed node receives
-// nothing and stops ticking, and a send to it fails into the sender's ring
-// repair.  Scans run inline when handed back; every core ticks each
-// kMaintainInterval while a query is in flight.  A run is a pure function
-// of the databases, node seeds, options and (seed, FaultSpec).
+// Links are FIFO, with each send's latency drawn from a seeded
+// sim::LatencyModel, unless SimOptions::reorder displaces a send: it then
+// takes an extra window and skips the link's FIFO clamp, so later sends on
+// the link overtake it and recovery goes through retransmission.  Drops,
+// link delays and fail-stop crashes come from a net::FaultSpec through
+// net::FaultState::onSend, as FaultInjectingTransport applies them live: a
+// crashed node receives nothing and stops ticking, and a send to it fails
+// into the sender's ring repair.  Scans run inline when handed back; every
+// core ticks each kMaintainInterval while a query is in flight.  A run is
+// a pure function of the databases, node seeds, options and (seed,
+// FaultSpec).
 
 #pragma once
 
@@ -32,8 +35,14 @@ struct SimOptions {
   ServiceOptions service;
   /// Per-link latency model; null = 1 ms fixed.  Must outlive the sim.
   const sim::LatencyModel* latency = nullptr;
-  /// Seeds the latency draws.
+  /// Seeds the latency and reorder draws.
   std::uint64_t latencySeed = 1;
+  /// Per-link reordering: each send is displaced with `probability`; a
+  /// displaced send arrives `windowMs` late and later sends overtake it.
+  struct Reorder {
+    double probability = 0.0;
+    sim::SimTime windowMs = 0.0;
+  } reorder;
   /// Message drops, link delays and fail-stop crashes.
   net::FaultSpec faults;
 };
@@ -102,9 +111,11 @@ class ServiceSim {
   sim::FixedLatency defaultLatency_{1.0};
   Rng latencyRng_;
   net::FaultState faults_;
+  SimOptions::Reorder reorder_;
   sim::EventSimulator simulator_;
   std::vector<std::unique_ptr<ServiceCore>> cores_;
-  /// Latest delivery time per (from, to) link: FIFO links.
+  /// Latest delivery time per (from, to) link: FIFO for sends that are
+  /// not displaced.
   std::map<std::pair<NodeId, NodeId>, sim::SimTime> linkClock_;
   std::map<std::uint64_t, NodeId> initiators_;
   std::vector<Retired> retirements_;

@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
-#include "net/shaping.hpp"
 #include "query/descriptor.hpp"
 
 namespace privtopk {
@@ -158,14 +157,14 @@ TEST(FuzzDecode, RoundTripSurvivesAdversarialVectors) {
 }
 
 // ---------------------------------------------------------------------------
-// CLI spec parsers (--fault-spec / --shape-spec)
+// CLI spec parser (--fault-spec)
 // ---------------------------------------------------------------------------
 
-/// Text soup biased toward the grammars' alphabet so mutations regularly
+/// Text soup biased toward the grammar's alphabet so mutations regularly
 /// hit interesting paths (half-formed links, numeric prefixes, separators).
 std::string randomSpecText(Rng& rng, std::size_t maxLen) {
   static const std::string alphabet =
-      "0123456789:->*,;~@.xlatbwdropdelaycrashseedqueueprofile ";
+      "0123456789:->*,;~@.xdropdelaycrash ";
   std::string out(rng.index(maxLen + 1), ' ');
   for (auto& c : out) c = alphabet[rng.index(alphabet.size())];
   return out;
@@ -191,37 +190,19 @@ TEST(FuzzSpecParsers, FaultSpecSurvivesRandomText) {
   }
 }
 
-TEST(FuzzSpecParsers, ShapingSpecSurvivesRandomText) {
-  Rng rng(0xFA02);
-  for (int i = 0; i < 5000; ++i) {
-    expectTypedOrOk(randomSpecText(rng, 64), [](const std::string& s) {
-      (void)net::ShapingSpec::parse(s);
-    });
-  }
-}
-
 TEST(FuzzSpecParsers, BothParsersSurviveMutatedValidSpecs) {
   Rng rng(0xFA03);
   const std::string validFault = "drop:0->1:3,delay:1->2:50,crash:2@5";
-  const std::string validShape =
-      "profile:*:metro,lat:0->1:30~5,bw:1->2:25000,reorder:2->3:0.1:40,"
-      "seed:9,queue:64";
   static const std::string alphabet = "0123456789:->*,;~@.x ";
-  for (int i = 0; i < 5000; ++i) {
-    std::string mutated = (i % 2 == 0) ? validFault : validShape;
+  for (int i = 0; i < 2500; ++i) {
+    std::string mutated = validFault;
     const int mutations = 1 + static_cast<int>(rng.index(4));
     for (int m = 0; m < mutations; ++m) {
       mutated[rng.index(mutated.size())] = alphabet[rng.index(alphabet.size())];
     }
-    if (i % 2 == 0) {
-      expectTypedOrOk(mutated, [](const std::string& s) {
-        (void)net::FaultSpec::parse(s);
-      });
-    } else {
-      expectTypedOrOk(mutated, [](const std::string& s) {
-        (void)net::ShapingSpec::parse(s);
-      });
-    }
+    expectTypedOrOk(mutated, [](const std::string& s) {
+      (void)net::FaultSpec::parse(s);
+    });
   }
 }
 
@@ -248,33 +229,6 @@ TEST(FuzzSpecParsers, RandomFaultSpecsRoundTripThroughToString) {
   }
 }
 
-TEST(FuzzSpecParsers, RandomShapingSpecsRoundTripThroughToString) {
-  Rng rng(0xFA05);
-  // Quarter-millisecond grid keeps the doubles exactly representable so
-  // the parse(toString()) comparison is meaningful, not float-lucky.
-  const auto quantized = [&rng](double hi) {
-    return static_cast<double>(rng.index(static_cast<std::size_t>(hi * 4))) /
-           4.0;
-  };
-  for (int i = 0; i < 500; ++i) {
-    net::ShapingSpec spec;
-    if (rng.bernoulli(0.5)) {
-      spec.defaultShape = net::LinkShape{quantized(100), quantized(20),
-                                         quantized(1000), 0.25, quantized(50)};
-    }
-    for (std::size_t d = rng.index(4); d > 0; --d) {
-      spec.links[{static_cast<NodeId>(rng.index(16)),
-                  static_cast<NodeId>(rng.index(16))}] =
-          net::LinkShape{quantized(200), quantized(40), quantized(2000),
-                         rng.bernoulli(0.5) ? 0.5 : 0.0, quantized(100)};
-    }
-    spec.seed = rng.next();
-    spec.maxQueued = 1 + rng.index(10000);
-    const std::string text = spec.toString();
-    EXPECT_EQ(net::ShapingSpec::parse(text).toString(), text);
-  }
-}
-
 TEST(FuzzSpecParsers, MalformedTokensAreNamedInTheError) {
   const auto expectTokenIn = [](const std::string& token, auto&& parse) {
     try {
@@ -291,9 +245,7 @@ TEST(FuzzSpecParsers, MalformedTokensAreNamedInTheError) {
   expectTokenIn("1a", [] { (void)net::FaultSpec::parse("drop:0->1a:3"); });
   expectTokenIn("7q", [] { (void)net::FaultSpec::parse("crash:7q@1"); });
   expectTokenIn("3.5", [] { (void)net::FaultSpec::parse("drop:0->1:3.5"); });
-  expectTokenIn("9z", [] { (void)net::ShapingSpec::parse("lat:*:9z"); });
-  expectTokenIn("0>1", [] { (void)net::ShapingSpec::parse("lat:0>1:5"); });
-  expectTokenIn("nan", [] { (void)net::ShapingSpec::parse("bw:*:nan"); });
+  expectTokenIn("0>1", [] { (void)net::FaultSpec::parse("delay:0>1:5"); });
 }
 
 }  // namespace

@@ -60,11 +60,13 @@ TEST(Message, GroupedAnnounceRoundTrip) {
   announce.parentQueryId = 99;
   announce.phase = 1;
   announce.groupSize = 3;
+  announce.groups = 4;
   const Message decoded = decodeMessage(encodeMessage(announce));
   ASSERT_TRUE(std::holds_alternative<QueryAnnounce>(decoded));
   EXPECT_EQ(std::get<QueryAnnounce>(decoded), announce);
 
-  announce.phase = 2;  // merge ring
+  announce.phase = 2;  // merge ring: the group count stays off the wire
+  announce.groups = 0;
   EXPECT_EQ(std::get<QueryAnnounce>(decodeMessage(encodeMessage(announce))),
             announce);
 }
@@ -131,6 +133,7 @@ TEST(Message, GroupedAnnounceValidation) {
   // not.
   QueryAnnounce orphanPhase{24, Bytes{0x01}, {0, 1, 2}};
   orphanPhase.phase = 1;
+  orphanPhase.groups = 3;
   EXPECT_THROW((void)decodeMessage(encodeMessage(orphanPhase)),
                ProtocolError);
 
@@ -138,6 +141,13 @@ TEST(Message, GroupedAnnounceValidation) {
   strayParent.parentQueryId = 9;
   EXPECT_THROW((void)decodeMessage(encodeMessage(strayParent)),
                ProtocolError);
+
+  // A grouped query has at least three groups.
+  QueryAnnounce twoGroups{26, Bytes{0x01}, {0, 1, 2}};
+  twoGroups.parentQueryId = 9;
+  twoGroups.phase = 1;
+  twoGroups.groups = 2;
+  EXPECT_THROW((void)decodeMessage(encodeMessage(twoGroups)), ProtocolError);
 }
 
 TEST(Message, UnknownTagRejected) {

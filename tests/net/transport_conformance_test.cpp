@@ -1,7 +1,7 @@
 // Transport conformance suite: the behavioural contract NodeService
 // depends on, run against both base transports (in-process mailboxes and
-// the epoll TCP reactor) AND the decorators (fault injection, WAN shaping)
-// so the fast tests, the socket tests and the wrappers cannot drift apart:
+// the epoll TCP reactor) AND the fault-injection decorator so the fast
+// tests, the socket tests and the wrapper cannot drift apart:
 //   - per-link FIFO ordering under load,
 //   - saturation surfaces OverloadError (backpressure) and the link
 //     recovers once drained,
@@ -25,7 +25,6 @@
 
 #include "net/fault.hpp"
 #include "net/inproc.hpp"
-#include "net/shaping.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
 
@@ -53,13 +52,12 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::string variant() const { return GetParam(); }
   [[nodiscard]] bool usesTcp() const {
-    return variant() == "tcp" || variant() == "shaping_tcp";
+    return variant() == "tcp";
   }
 
   /// Builds a two-node deployment.  `saturable` configures bounds tight
   /// enough that a burst of large sends hits backpressure: a tiny mailbox
-  /// for inproc, a short write queue over a tiny socket buffer for TCP, a
-  /// short delivery queue for the shaping decorator.
+  /// for inproc, a short write queue over a tiny socket buffer for TCP.
   void makePair(bool saturable = false) {
     if (usesTcp()) {
       const auto ports = reservePorts(2);
@@ -75,34 +73,20 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
     } else {
       inproc_ = std::make_unique<InProcTransport>(2, saturable ? 4 : 0);
     }
-    // Jitter larger than the inter-send gap so shaping would scramble the
-    // order without its FIFO clamp; a real (if tiny) fault delay so the
-    // fault path is exercised, not just passed through.
-    const std::string shape =
-        saturable ? "lat:*:1~0.5,queue:4" : "lat:*:1~2,seed:5";
+    // A real (if tiny) fault delay so the fault path is exercised, not
+    // just passed through.
     if (variant() == "fault") {
       fault0_ = std::make_unique<FaultInjectingTransport>(
           *inproc_, FaultSpec::parse("delay:0->1:1"));
-    } else if (variant() == "shaping") {
-      shape0_ =
-          std::make_unique<ShapingTransport>(*inproc_, ShapingSpec::parse(shape));
-    } else if (variant() == "shaping_tcp") {
-      // One wrapper per node around a shared state, the TCP fleet shape.
-      auto state = std::make_shared<ShapingState>(ShapingSpec::parse(shape));
-      shape0_ = std::make_unique<ShapingTransport>(*tcp0_, state);
-      shape1_ = std::make_unique<ShapingTransport>(*tcp1_, state);
     }
   }
 
   Transport& node0() {
-    if (shape0_) return *shape0_;
     if (fault0_) return *fault0_;
     return inproc_ ? static_cast<Transport&>(*inproc_)
                    : static_cast<Transport&>(*tcp0_);
   }
   Transport& node1() {
-    if (shape1_) return *shape1_;
-    if (shape0_) return *shape0_;  // in-proc fleets share one wrapper
     if (fault0_) return *fault0_;
     return inproc_ ? static_cast<Transport&>(*inproc_)
                    : static_cast<Transport&>(*tcp1_);
@@ -110,8 +94,6 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
 
   void shutdownAll() {
     if (fault0_) fault0_->shutdown();
-    if (shape0_) shape0_->shutdown();
-    if (shape1_) shape1_->shutdown();
     if (inproc_) inproc_->shutdown();
     if (tcp0_) tcp0_->shutdown();
     if (tcp1_) tcp1_->shutdown();
@@ -120,12 +102,11 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
   void TearDown() override { shutdownAll(); }
 
   std::vector<TcpPeer> peers_;
-  // Inners declared before decorators: the decorators' delivery threads
-  // reference the inners, so they must be destroyed first (reverse order).
+  // Inners declared before the decorator: it references the inner, so it
+  // must be destroyed first (reverse order).
   std::unique_ptr<InProcTransport> inproc_;
   std::unique_ptr<TcpTransport> tcp0_, tcp1_;
   std::unique_ptr<FaultInjectingTransport> fault0_;
-  std::unique_ptr<ShapingTransport> shape0_, shape1_;
 };
 
 TEST_P(TransportConformance, PerLinkOrderingUnderLoad) {
@@ -204,8 +185,7 @@ TEST_P(TransportConformance, ShutdownMidSendIsClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, TransportConformance,
-                         ::testing::Values("inproc", "tcp", "fault",
-                                           "shaping", "shaping_tcp"),
+                         ::testing::Values("inproc", "tcp", "fault"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

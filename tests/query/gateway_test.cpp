@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "data/generator.hpp"
+#include "net/fault.hpp"
 #include "net/inproc.hpp"
-#include "net/shaping.hpp"
 #include "query/service.hpp"
 
 namespace privtopk::query {
@@ -409,22 +409,26 @@ TEST(Gateway, ConcurrentHammerKeepsInvariants) {
 }
 
 // ---------------------------------------------------------------------------
-// Gateway over a WAN-shaped federation: executions take genuinely long
-// (tens of shaped hops), so cache hits, single-flight coalescing and the
+// Gateway over a slow-link federation: executions take genuinely long
+// (tens of delayed hops), so cache hits, single-flight coalescing and the
 // retry-after machinery must stay correct while flights are long-lived.
 // ---------------------------------------------------------------------------
 
-/// 5-node in-process NodeService fleet behind a ShapingTransport: every
-/// hop costs ~10 ms one-way, so one ring query runs for hundreds of ms.
-struct ShapedFederation {
+/// 5-node in-process NodeService fleet behind a FaultInjectingTransport
+/// that delays every ring link by 10 ms, so one ring query runs for
+/// hundreds of ms.
+struct DelayedFederation {
   static constexpr std::size_t kNodes = 5;
 
   std::vector<data::PrivateDatabase> dbs;
   net::InProcTransport inner{kNodes};
-  net::ShapingTransport shaped{inner, net::ShapingSpec::parse("lat:*:10~2")};
+  net::FaultInjectingTransport delayed{
+      inner, net::FaultSpec::parse("delay:0->1:10,delay:1->2:10,"
+                                   "delay:2->3:10,delay:3->4:10,"
+                                   "delay:4->0:10")};
   std::vector<std::unique_ptr<NodeService>> services;
 
-  ShapedFederation() {
+  DelayedFederation() {
     data::FleetSpec spec;
     spec.nodes = kNodes;
     spec.rowsPerNode = 10;
@@ -436,14 +440,14 @@ struct ShapedFederation {
     options.workerThreads = 2;
     for (std::size_t i = 0; i < kNodes; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], shaped, 600 + i, options));
+          static_cast<NodeId>(i), dbs[i], delayed, 600 + i, options));
       services.back()->start();
     }
   }
 
-  ~ShapedFederation() {
+  ~DelayedFederation() {
     for (auto& s : services) s->stop();
-    shaped.shutdown();
+    delayed.shutdown();
   }
 
   [[nodiscard]] Gateway::Executor executor() {
@@ -454,7 +458,7 @@ struct ShapedFederation {
       std::rotate(ring.begin(), ring.begin() + initiator, ring.end());
       auto future = services[initiator]->initiate(d, ring);
       if (future.wait_for(30s) != std::future_status::ready) {
-        throw TransportError("shaped execution timed out");
+        throw TransportError("delayed execution timed out");
       }
       QueryOutcome outcome;
       outcome.values = future.get();
@@ -480,9 +484,9 @@ struct ShapedFederation {
 };
 
 TEST(GatewayOverWan, LongFlightsCoalesceAndThenHitTheCache) {
-  ShapedFederation fed;
+  DelayedFederation fed;
   Gateway gateway(fed.executor(), /*seed=*/21);
-  const auto d = ShapedFederation::wanDescriptor(1, 3);
+  const auto d = DelayedFederation::wanDescriptor(1, 3);
 
   const auto start = std::chrono::steady_clock::now();
   std::thread leader([&] {
@@ -490,7 +494,7 @@ TEST(GatewayOverWan, LongFlightsCoalesceAndThenHitTheCache) {
   });
   waitUntil([&] { return gateway.stats().inflightExecutions == 1; });
 
-  // The flight is airborne for many shaped hops: identical questions must
+  // The flight is airborne for many delayed hops: identical questions must
   // attach to it, not start their own WAN round-trip.
   std::vector<std::thread> followers;
   for (int i = 0; i < 3; ++i) {
@@ -502,8 +506,9 @@ TEST(GatewayOverWan, LongFlightsCoalesceAndThenHitTheCache) {
   leader.join();
   for (auto& t : followers) t.join();
   const auto coldElapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(coldElapsed, 50ms) << "shaping did not make the execution WAN-"
-                                  "scale; the test is not testing anything";
+  EXPECT_GE(coldElapsed, 50ms) << "link delays did not make the execution "
+                                  "WAN-scale; the test is not testing "
+                                  "anything";
 
   // Cache hits must answer at memory speed despite the WAN backend.
   const auto cachedStart = std::chrono::steady_clock::now();
@@ -517,7 +522,7 @@ TEST(GatewayOverWan, LongFlightsCoalesceAndThenHitTheCache) {
 }
 
 TEST(GatewayOverWan, RetryAfterHintsStayHonestUnderLongExecutions) {
-  ShapedFederation fed;
+  DelayedFederation fed;
   GatewayOptions options;
   options.maxConcurrentExecutions = 1;
   options.maxQueuedExecutions = 1;
@@ -526,18 +531,18 @@ TEST(GatewayOverWan, RetryAfterHintsStayHonestUnderLongExecutions) {
   // Distinct questions: k=1 occupies the single slot for a WAN round
   // trip, k=2 takes the only queue slot, k=3 must shed with a hint.
   std::thread leader([&] {
-    EXPECT_EQ(gateway.execute(ShapedFederation::wanDescriptor(1, 1)).values,
+    EXPECT_EQ(gateway.execute(DelayedFederation::wanDescriptor(1, 1)).values,
               fed.truth(1));
   });
   waitUntil([&] { return gateway.stats().inflightExecutions == 1; });
   std::thread queued([&] {
-    EXPECT_EQ(gateway.execute(ShapedFederation::wanDescriptor(2, 2)).values,
+    EXPECT_EQ(gateway.execute(DelayedFederation::wanDescriptor(2, 2)).values,
               fed.truth(2));
   });
   waitUntil([&] { return gateway.stats().queuedExecutions == 1; });
 
   try {
-    (void)gateway.execute(ShapedFederation::wanDescriptor(3, 3));
+    (void)gateway.execute(DelayedFederation::wanDescriptor(3, 3));
     FAIL() << "third concurrent WAN execution should have been shed";
   } catch (const OverloadError& e) {
     EXPECT_GT(e.retryAfter().count(), 0);
@@ -548,7 +553,7 @@ TEST(GatewayOverWan, RetryAfterHintsStayHonestUnderLongExecutions) {
   queued.join();
 
   // Backing off as hinted succeeds once the WAN flights land.
-  EXPECT_EQ(gateway.execute(ShapedFederation::wanDescriptor(3, 3)).values,
+  EXPECT_EQ(gateway.execute(DelayedFederation::wanDescriptor(3, 3)).values,
             fed.truth(3));
   EXPECT_EQ(gateway.stats().executions, 3u);
 }

@@ -3,9 +3,10 @@
 // The SimulatedRun / RunGroupedSimulated cases pin the simulator's
 // contract (virtual-time cost, crash recovery, grouped parallelism); the
 // ServiceSimSweep cases run hundreds of seeded federations - flat,
-// aggregate, segmented and grouped queries under latency jitter, drops and
-// crashes - and check the protocol invariants after every event.  A sweep
-// failure names its (seed, FaultSpec), which replays it exactly.
+// aggregate, segmented and grouped queries under latency jitter, drops,
+// crashes and link reordering - and check the protocol invariants after
+// every event.  A sweep failure names its (seed, FaultSpec, reorder),
+// which replays it exactly.
 
 #include "query/service_sim.hpp"
 
@@ -98,9 +99,53 @@ TEST(SimulatedRun, CompletionTimeMatchesHopCount) {
   // With 1 ms fixed latency, r rounds over n nodes need r*n hops; the
   // initiator holds the answer when the last round's token returns (the
   // announce travels ahead of the first token, off the critical path).
-  const auto dbs = data::fleetFromValues({{1}, {2}, {3}, {4}});
-  const auto sim = runQuery(dbs, topK(1, 1, 5));
-  EXPECT_DOUBLE_EQ(sim->outcome(1)->at, 5.0 * 4.0);
+  // The query sends n announce, r*n token and n result messages.
+  struct Case {
+    std::size_t nodes;
+    Round rounds;
+    double completionMs;
+    std::size_t sends;
+  };
+  for (const Case c : {Case{4, 5, 20.0, 28}, Case{9, 5, 45.0, 63},
+                       Case{9, 9, 81.0, 99}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.nodes) +
+                 " r=" + std::to_string(c.rounds));
+    std::vector<std::vector<Value>> values(c.nodes);
+    for (std::size_t i = 0; i < c.nodes; ++i) {
+      values[i] = {static_cast<Value>(i + 1)};
+    }
+    const auto sim =
+        runQuery(data::fleetFromValues(values), topK(1, 1, c.rounds));
+    EXPECT_DOUBLE_EQ(sim->outcome(1)->at, c.completionMs);
+    EXPECT_EQ(sim->sends().size(), c.sends);
+  }
+}
+
+TEST(SimulatedRun, DisplacedAnnounceIsRecoveredByRetransmission) {
+  // Pinned reorder draws: the initiator's first send, the announce to
+  // node 1, is displaced by the window; its second, the round-1 token, is
+  // not, so it overtakes the announce.  Node 1 drops the token of a query
+  // it does not know yet; the initiator's retransmission after
+  // retransmitAfter (1 s) recovers it and the answer is exact.
+  const SimOptions::Reorder reorder{0.1, 20.0};
+  constexpr std::uint64_t kSeed = 3;
+  Rng draws(kSeed);  // FixedLatency draws nothing
+  ASSERT_TRUE(draws.bernoulli(reorder.probability));
+  ASSERT_FALSE(draws.bernoulli(reorder.probability));
+
+  const auto dbs = data::fleetFromValues({{30}, {10}, {40}, {20}});
+  SimOptions options;
+  options.reorder = reorder;
+  options.latencySeed = kSeed;
+  const std::uint64_t dropped = ServiceCore::Metrics().droppedMessages.value();
+  const std::uint64_t retransmits = ServiceCore::Metrics().retransmits.value();
+  const auto sim = runQuery(dbs, topK(1, 1), options);
+  EXPECT_GT(ServiceCore::Metrics().droppedMessages.value(), dropped);
+  EXPECT_GT(ServiceCore::Metrics().retransmits.value(), retransmits);
+  EXPECT_GT(sim->outcome(1)->at, 1'000.0);
+  for (NodeId node = 0; node < 4; ++node) {
+    EXPECT_EQ(sim->core(node).resultOf(1), (TopKVector{40})) << node;
+  }
 }
 
 TEST(SimulatedRun, TopKWithRandomLatency) {
@@ -286,32 +331,48 @@ TEST(RunGroupedSimulated, ParallelTimeBeatsFlat) {
 }
 
 TEST(RunGroupedSimulated, HealthySlowQueryRetransmitsNothing) {
-  // 15 nodes in three groups of 5 over 200-ms links: a group round takes
-  // 1 s, the coordinator's phase 1 takes 2 s.  With retransmitAfter
-  // (1.5 s) above every ring's round trip, a healthy query resends nothing
-  // - in particular not the phase-1 fan-out while the coordinator's own
-  // group is still running - so it sends exactly the messages of a run
-  // with retransmission off.
-  data::UniformDistribution dist;
-  Rng dataRng(40);
-  const auto values = data::generateValueSets(15, 4, dist, dataRng);
-  const auto dbs = data::fleetFromValues(values);
-  const sim::FixedLatency wan(200.0);
-  SimOptions options;
-  options.latency = &wan;
-  QueryDescriptor d = grouped(1, 1, 5);
-  d.params.rounds = 2;
-  d.params.p0 = 0.0;  // exact after round 1
-  options.service.retransmitAfter = std::chrono::milliseconds(0);
-  const auto silent = runQuery(dbs, d, options);
-  options.service.retransmitAfter = std::chrono::milliseconds(1'500);
-  const std::uint64_t before = ServiceCore::Metrics().retransmits.value();
-  const auto run = runQuery(dbs, d, options);
-  EXPECT_EQ(ServiceCore::Metrics().retransmits.value(), before);
-  EXPECT_EQ(run->sends().size(), silent->sends().size());
-  EXPECT_EQ(resultOf(*run, 1), data::trueTopK(values, 1));
-  EXPECT_EQ(phaseOneGroupsRun(*run, 1), 3u);
-  EXPECT_GT(run->outcome(1)->at, 3'000.0);
+  // With retransmitAfter (1.5 s) above every ring's round trip, a healthy
+  // query resends nothing - not the phase-1 fan-out while the
+  // coordinator's own group is still running, and not a member's result
+  // probe while the merge phase runs - so it sends exactly the messages
+  // of a run with retransmission off.
+  //   15 nodes in three groups of 5 over 200-ms links: a group round
+  //   takes 1 s, a merge round 0.6 s.  With 12 rounds the members wait
+  //   through a 7-s merge phase.
+  //   27 nodes in nine groups of 3 over 100-ms links: the merge ring is
+  //   three times as long as a group ring.
+  struct Case {
+    std::size_t nodes;
+    std::size_t groupSize;
+    Round rounds;
+    double linkMs;
+  };
+  for (const Case c : {Case{15, 5, 2, 200.0}, Case{15, 5, 12, 200.0},
+                       Case{27, 3, 12, 100.0}}) {
+    SCOPED_TRACE("n=" + std::to_string(c.nodes) + " groups of " +
+                 std::to_string(c.groupSize) +
+                 " r=" + std::to_string(c.rounds));
+    data::UniformDistribution dist;
+    Rng dataRng(40);
+    const auto values = data::generateValueSets(c.nodes, 4, dist, dataRng);
+    const auto dbs = data::fleetFromValues(values);
+    const sim::FixedLatency wan(c.linkMs);
+    SimOptions options;
+    options.latency = &wan;
+    QueryDescriptor d = grouped(1, 1, c.groupSize);
+    d.params.rounds = c.rounds;
+    d.params.p0 = 0.0;  // exact after round 1
+    options.service.retransmitAfter = std::chrono::milliseconds(0);
+    const auto silent = runQuery(dbs, d, options);
+    options.service.retransmitAfter = std::chrono::milliseconds(1'500);
+    const std::uint64_t before = ServiceCore::Metrics().retransmits.value();
+    const auto run = runQuery(dbs, d, options);
+    EXPECT_EQ(ServiceCore::Metrics().retransmits.value(), before);
+    EXPECT_EQ(run->sends().size(), silent->sends().size());
+    EXPECT_EQ(resultOf(*run, 1), data::trueTopK(values, 1));
+    EXPECT_EQ(phaseOneGroupsRun(*run, 1), c.nodes / c.groupSize);
+    EXPECT_GT(run->outcome(1)->at, 3'000.0);
+  }
 }
 
 TEST(RunGroupedSimulated, FallsBackToFlat) {
@@ -504,11 +565,15 @@ struct SweepCase {
   std::uint64_t seed = 0;
   Shape shape = Shape::Flat;
   net::FaultSpec faults;
+  SimOptions::Reorder reorder;
 };
 
 std::string describe(const SweepCase& c) {
-  return "seed=" + std::to_string(c.seed) + " shape=" + shapeName(c.shape) +
-         " spec=\"" + c.faults.toString() + "\"";
+  std::ostringstream os;
+  os << "seed=" << c.seed << " shape=" << shapeName(c.shape) << " spec=\""
+     << c.faults.toString() << "\" reorder=" << c.reorder.probability
+     << ":" << c.reorder.windowMs;
+  return os.str();
 }
 
 /// Runs one sweep case and checks the invariants, the answer and
@@ -523,14 +588,20 @@ void runCase(const SweepCase& c,
   options.latency = &jitter;
   options.latencySeed = c.seed;
   options.faults = c.faults;
+  options.reorder = c.reorder;
   options.service.staleAfter = std::chrono::milliseconds(20'000);
   const QueryDescriptor d = descriptorFor(c.shape, c.seed + 1, 2);
   ServiceSim sim(dbs, seeds, options);
   InvariantChecker checker(options.service.staleAfter);
   sim.setObserver(std::ref(checker));
+  const std::uint64_t retransmits = ServiceCore::Metrics().retransmits.value();
   sim.initiate(d, identityRing(values.size()));
   sim.run();
   ASSERT_EQ(checker.violation(), "");
+  if (c.faults.empty() && c.reorder.probability == 0.0) {
+    // A lossless FIFO run retransmits nothing.
+    EXPECT_EQ(ServiceCore::Metrics().retransmits.value(), retransmits);
+  }
 
   // Convergence: every live node ends with no state and no stash.
   for (NodeId node = 0; node < sim.nodes(); ++node) {
@@ -550,8 +621,11 @@ void runCase(const SweepCase& c,
 
 TEST(ServiceSimSweep, SeededFederationsHoldInvariants) {
   const QuietLogs quiet;
-  constexpr std::uint64_t kSeeds = 480;
+  // Seeds below kFifoSeeds run FIFO links; the rest reorder them.
+  constexpr std::uint64_t kFifoSeeds = 480;
+  constexpr std::uint64_t kSeeds = 640;
   std::size_t faulted = 0;
+  std::size_t recovered = 0;  // reorder cases that needed a retransmit
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     Rng shapeRng(seed);
     SweepCase c;
@@ -561,6 +635,18 @@ TEST(ServiceSimSweep, SeededFederationsHoldInvariants) {
                                                     : 3 + shapeRng.index(5);
     data::UniformDistribution dist;
     const auto values = data::generateValueSets(n, 4, dist, shapeRng);
+    if (seed >= kFifoSeeds) {
+      // Fault-free, but a tenth of all sends are displaced by a window
+      // longer than the jitter, so later sends on the link overtake them:
+      // recovery goes through retransmission, and every node must still
+      // end with the runner's exact answer.
+      c.reorder = {0.1, 5.0};
+      const std::uint64_t before = ServiceCore::Metrics().retransmits.value();
+      runCase(c, values);
+      if (HasFatalFailure()) return;
+      recovered += ServiceCore::Metrics().retransmits.value() > before ? 1 : 0;
+      continue;
+    }
     // A third fault-free, a third with drops, a third with drops and a
     // crash.
     const std::uint64_t mode = (seed / 4) % 3;
@@ -581,7 +667,9 @@ TEST(ServiceSimSweep, SeededFederationsHoldInvariants) {
     runCase(c, values);
     if (HasFatalFailure()) return;
   }
-  EXPECT_GT(faulted, kSeeds / 2);
+  EXPECT_GT(faulted, kFifoSeeds / 2);
+  // The reorder seeds do take the recovery path (53 of the 160 do).
+  EXPECT_GT(recovered, (kSeeds - kFifoSeeds) / 5);
 }
 
 TEST(ServiceSimSweep, DropEachMessageOfAGroupedQuery) {

@@ -1,9 +1,9 @@
 // Long-haul WAN soak: thousands of mixed queries (flat / grouped /
 // aggregate / segmented / LDP / schedule) through the multi-tenant
-// Gateway over a 9-node federation whose transport stack is
-// fault-injected AND WAN-shaped (FaultInjectingTransport over
-// ShapingTransport over InProcTransport).  The soak continuously checks
-// liveness, then asserts against a faultless sequential re-run:
+// Gateway over a 9-node federation whose transport is fault-injected
+// (FaultInjectingTransport over InProcTransport: message drops and two
+// delayed links).  The soak continuously checks liveness, then asserts
+// against a faultless sequential re-run:
 //   * bit-exact agreement for every deterministic query class,
 //   * LDP results sound up to the mechanism's declared noise bound,
 //   * bounded RSS growth (procfs, via obs process metrics),
@@ -11,9 +11,11 @@
 //   * bounded retry amplification (gateway resubmits + ring retransmits).
 //
 // Sized for ctest by default and multi-hour capable via environment
-// knobs (labels: soak;slow - see tests/CMakeLists.txt):
+// knobs (labels: soak;slow - see tests/CMakeLists.txt).  Link latency,
+// jitter and reordering are modelled in seeded virtual time instead
+// (query::ServiceSim, tests/query/service_sim_test.cpp), where a failure
+// replays from its seed:
 //   PRIVTOPK_SOAK_QUERIES   total queries (default 1000)
-//   PRIVTOPK_SOAK_PROFILE   geo profile for every link (default metro)
 //   PRIVTOPK_SOAK_RSS_MB    RSS growth bound in MiB (default 512)
 //   PRIVTOPK_SOAK_SECONDS   wall-clock cap; 0 = run all queries
 //   PRIVTOPK_SOAK_TIMELINE  path to write merged trace timelines to
@@ -38,7 +40,6 @@
 #include "data/generator.hpp"
 #include "net/fault.hpp"
 #include "net/inproc.hpp"
-#include "net/shaping.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_metrics.hpp"
 #include "obs/trace_view.hpp"
@@ -87,7 +88,7 @@ std::vector<NodeId> ringFrom(NodeId initiator, std::size_t n) {
 /// the gateway may serve it from cache or coalesce it).  The rest cycle
 /// through seven classes x four k values; every class except LDP is
 /// value-deterministic, so a faultless sequential re-run must agree
-/// bit for bit no matter how the WAN scrambled the soak run.
+/// bit for bit no matter how faults scrambled the soak run.
 QueryDescriptor soakDescriptor(std::size_t i) {
   if (i % 10 == 9) return soakDescriptor(i - 9);
   QueryDescriptor d;
@@ -140,34 +141,26 @@ bool isLdp(const QueryDescriptor& d) {
   return d.params.mechanism.kind == protocol::MechanismKind::Ldp;
 }
 
-/// A 9-node federation over InProc shaped by ShapingTransport and then
-/// fault-injected (fault decorator outermost, so injected drops happen
-/// before a message ever enters the WAN queue - a sender-side fault).
-/// Empty specs skip the corresponding decorator, which is how the
-/// faultless unshaped re-run cluster is built.
+/// A 9-node federation over InProc, fault-injected by a
+/// FaultInjectingTransport.  An empty spec skips the decorator, which is
+/// how the faultless re-run cluster is built.
 struct WanCluster {
   std::vector<data::PrivateDatabase> dbs = makeFleet();
   net::InProcTransport inner{kNodes};
-  std::unique_ptr<net::ShapingTransport> shaped;
   std::unique_ptr<net::FaultInjectingTransport> faulty;
   std::vector<std::unique_ptr<NodeService>> services;
 
-  WanCluster(const std::string& shapeSpec, const std::string& faultSpec,
-             ServiceOptions options, std::uint64_t seedBase) {
-    net::Transport* stack = &inner;
-    if (!shapeSpec.empty()) {
-      shaped = std::make_unique<net::ShapingTransport>(
-          inner, net::ShapingSpec::parse(shapeSpec));
-      stack = shaped.get();
-    }
+  WanCluster(const std::string& faultSpec, ServiceOptions options,
+             std::uint64_t seedBase) {
     if (!faultSpec.empty()) {
       faulty = std::make_unique<net::FaultInjectingTransport>(
-          *stack, net::FaultSpec::parse(faultSpec));
-      stack = faulty.get();
+          inner, net::FaultSpec::parse(faultSpec));
     }
+    net::Transport& stack =
+        faulty ? *faulty : static_cast<net::Transport&>(inner);
     for (std::size_t i = 0; i < kNodes; ++i) {
       services.push_back(std::make_unique<NodeService>(
-          static_cast<NodeId>(i), dbs[i], *stack, seedBase + i, options));
+          static_cast<NodeId>(i), dbs[i], stack, seedBase + i, options));
       services.back()->start();
     }
   }
@@ -175,7 +168,6 @@ struct WanCluster {
   ~WanCluster() {
     for (auto& s : services) s->stop();
     if (faulty) faulty->shutdown();
-    if (shaped) shaped->shutdown();
     inner.shutdown();
   }
 
@@ -192,9 +184,8 @@ struct WanCluster {
   }
 };
 
-TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
+TEST(WanSoak, MixedWorkloadOverDelayedLossyFederationMatchesRerun) {
   const std::size_t kQueries = envSize("PRIVTOPK_SOAK_QUERIES", 1000);
-  const std::string profile = envString("PRIVTOPK_SOAK_PROFILE", "metro");
   const std::size_t rssBoundMb = envSize("PRIVTOPK_SOAK_RSS_MB", 512);
   const std::size_t wallSeconds = envSize("PRIVTOPK_SOAK_SECONDS", 0);
 
@@ -206,18 +197,13 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
   options.traceQueries = true;
   options.spanRingCapacity = 1 << 15;
 
-  // Every link gets the geo profile; two links additionally reorder (a
-  // displaced token for a not-yet-announced query must be recovered by
-  // retransmission, not crash the service).  Deterministic loss + fixed
-  // sender-side delays ride on top via the fault decorator.
-  const std::string shape = "profile:*:" + profile +
-                            ",reorder:1->2:0.03:10,reorder:5->6:0.03:10," +
-                            "seed:71";
+  // Deterministic loss on five ring links and fixed sender-side delays
+  // on two.
   const std::string faults =
       "drop:0->1:2,drop:2->3:5,drop:4->5:9,drop:6->7:13,drop:8->0:6,"
       "delay:1->2:2,delay:5->6:3";
 
-  WanCluster soak(shape, faults, options, /*seedBase=*/8100);
+  WanCluster soak(faults, options, /*seedBase=*/8100);
 
   obs::registerProcessMetrics();
   obs::updateProcessMetrics();
@@ -229,7 +215,7 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
 
   // A small execution budget with a tiny admission queue deliberately
   // oversubscribes the 8 driver threads, so the OverloadError
-  // retry-after path is exercised continuously under WAN latencies.
+  // retry-after path is exercised continuously.
   GatewayOptions gatewayOptions;
   gatewayOptions.cacheCapacity = 512;
   gatewayOptions.maxConcurrentExecutions = 4;
@@ -365,7 +351,7 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
   EXPECT_LE(gatewayRetries.load(), 5 * kQueries + 100)
       << "gateway retry amplification blew up";
   // Ring-level retransmits: recovery traffic for injected drops plus
-  // occasional WAN-delay spurious timeouts, never a retransmit storm.
+  // occasional link-delay spurious timeouts, never a retransmit storm.
   const std::uint64_t retransmitsDuring =
       retransmitCounter.value() - retransmitsBefore;
   EXPECT_LE(retransmitsDuring, 30 * completedCount + 100)
@@ -405,8 +391,8 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
       return a->second.size() > b->second.size();
     });
     std::ofstream out(path);
-    out << "# WAN soak: " << completedCount << " queries, profile "
-        << profile << ", " << byTrace.size() << " traces, "
+    out << "# WAN soak: " << completedCount << " queries, "
+        << byTrace.size() << " traces, "
         << spansById.size() << " spans\n\n";
     for (std::size_t t = 0; t < std::min<std::size_t>(8, traces.size());
          ++t) {
@@ -419,7 +405,7 @@ TEST(WanSoak, MixedWorkloadOverShapedLossyFederationMatchesRerun) {
   // --- Faultless sequential re-run: the ground truth for agreement. ---
   ServiceOptions rerunOptions;
   rerunOptions.workerThreads = 2;
-  WanCluster rerun("", "", rerunOptions, /*seedBase=*/9300);
+  WanCluster rerun("", rerunOptions, /*seedBase=*/9300);
   const auto allValues = data::fleetValues(rerun.dbs, "sales", "revenue");
 
   std::map<std::size_t, TopKVector> rerunResults;

@@ -27,14 +27,10 @@
 //   privtopk trace-view --endpoints 127.0.0.1:9190,127.0.0.1:9191 --query-id 1
 //   privtopk metrics --parties 4 --k 3 --format both --trace
 //   privtopk metrics --parties 5 --k 3 --fault-spec "drop:0->1:2,crash:2@0"
-//   privtopk metrics --parties 5 --k 3 --shape-spec "profile:*:cross-region"
-//   privtopk query --csv ... --shape-spec "lat:*:30~5,bw:*:25000"
 // (multi-flag invocations continue on one shell line or with backslashes;
-//  --fault-spec and --shape-spec grammars are documented in
-//  docs/ROBUSTNESS.md)
+//  the --fault-spec grammar is documented in docs/ROBUSTNESS.md)
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,7 +48,6 @@
 #include "net/fault.hpp"
 #include "net/http.hpp"
 #include "net/inproc.hpp"
-#include "net/shaping.hpp"
 #include "net/tcp.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
@@ -222,56 +217,6 @@ int cmdGenerate(int argc, const char* const* argv) {
   return 0;
 }
 
-/// In-process NodeService fleet over a shaped transport: the --shape-spec
-/// execution backend for `privtopk query` (the transport-less Federation
-/// simulation has no links to shape, so WAN realism needs real message
-/// passing).
-struct ShapedFleet {
-  net::InProcTransport inproc;
-  net::ShapingTransport shaped;
-  std::vector<std::unique_ptr<query::NodeService>> services;
-  std::atomic<std::uint64_t> nextQueryId;
-
-  ShapedFleet(const std::vector<data::PrivateDatabase>& parties,
-              std::uint64_t seed, const net::ShapingSpec& spec,
-              std::uint64_t firstQueryId)
-      : inproc(parties.size()),
-        shaped(inproc, spec),
-        nextQueryId(firstQueryId) {
-    query::ServiceOptions options;
-    // The retransmit deadline must exceed the slowest shaped round trip
-    // (intercontinental hops run ~100 ms each).
-    options.retransmitAfter = std::chrono::milliseconds(2000);
-    for (std::size_t i = 0; i < parties.size(); ++i) {
-      services.push_back(std::make_unique<query::NodeService>(
-          static_cast<NodeId>(i), parties[i], shaped, seed + i, options));
-      services.back()->start();
-    }
-  }
-
-  ~ShapedFleet() {
-    for (auto& s : services) s->stop();
-    shaped.shutdown();  // forwards to the in-proc mailboxes
-  }
-
-  /// One end-to-end execution.  The queryId is a transport nonce: each
-  /// execution takes a fresh one so gateway-driven re-executions (cache
-  /// expiry, shed retries) never collide with a completed query.
-  query::QueryOutcome execute(query::QueryDescriptor d) {
-    d.queryId = nextQueryId.fetch_add(1);
-    std::vector<NodeId> ring(services.size());
-    std::iota(ring.begin(), ring.end(), NodeId{0});
-    auto future = services.front()->initiate(d, ring);
-    if (future.wait_for(std::chrono::seconds(120)) !=
-        std::future_status::ready) {
-      throw TransportError("query: shaped execution did not complete in time");
-    }
-    query::QueryOutcome out;
-    out.values = future.get();
-    return out;
-  }
-};
-
 int cmdQuery(int argc, const char* const* argv) {
   const ArgParser args(
       argc, argv,
@@ -279,7 +224,7 @@ int cmdQuery(int argc, const char* const* argv) {
        "d", "epsilon", "rounds", "seed", "domain-min", "domain-max",
        "query-id", "verbose", "filter", "group-size", "privacy-mechanism",
        "segments", "ldp-epsilon", "repeat", "cache-ttl", "cache-capacity",
-       "tenant", "priority", "rate-limit", "burst", "shape-spec"});
+       "tenant", "priority", "rate-limit", "burst"});
   const auto files = args.getList("csv");
   if (files.size() < 3) {
     throw ConfigError("--csv needs at least 3 comma-separated files "
@@ -300,18 +245,6 @@ int cmdQuery(int argc, const char* const* argv) {
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
   const query::Federation federation(parties);
 
-  // --shape-spec swaps the Federation simulation for an in-process
-  // NodeService fleet over net::ShapingTransport, so every ring hop pays
-  // the configured WAN latency/bandwidth/reordering (docs/ROBUSTNESS.md).
-  const net::ShapingSpec shapeSpec =
-      net::ShapingSpec::parse(args.getString("shape-spec", ""));
-  std::unique_ptr<ShapedFleet> shapedFleet;
-  if (!shapeSpec.empty()) {
-    shapedFleet = std::make_unique<ShapedFleet>(parties, seed, shapeSpec,
-                                                descriptor.queryId);
-    std::printf("wan shaping: %s\n", shapeSpec.toString().c_str());
-  }
-
   // Any gateway knob routes the query through query::Gateway: repeated
   // runs of the same question are answered from cache (zero additional
   // leakage) and the tenant's token bucket gates protocol executions.
@@ -327,14 +260,9 @@ int cmdQuery(int argc, const char* const* argv) {
     gatewayOptions.cacheTtl =
         std::chrono::milliseconds(args.getInt("cache-ttl", 0));
     query::Gateway gateway(
-        shapedFleet ? query::Gateway::Executor(
-                          [&](const query::QueryDescriptor& d, Rng&) {
-                            return shapedFleet->execute(d);
-                          })
-                    : query::Gateway::Executor(
-                          [&](const query::QueryDescriptor& d, Rng& rng) {
-                            return federation.execute(d, rng);
-                          }),
+        [&](const query::QueryDescriptor& d, Rng& rng) {
+          return federation.execute(d, rng);
+        },
         seed, gatewayOptions);
 
     query::GatewayRequest request;
@@ -376,12 +304,8 @@ int cmdQuery(int argc, const char* const* argv) {
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.executions), shed);
   } else {
-    if (shapedFleet) {
-      outcome = shapedFleet->execute(descriptor);
-    } else {
-      Rng rng(seed);
-      outcome = federation.execute(descriptor, rng);
-    }
+    Rng rng(seed);
+    outcome = federation.execute(descriptor, rng);
     std::printf("%s(%zu) over %zu parties: %s\n", toString(descriptor.type),
                 descriptor.effectiveK(), parties.size(),
                 toString(outcome.values).c_str());
@@ -403,7 +327,7 @@ int cmdNode(int argc, const char* const* argv) {
       {"self", "peers", "ring", "csv", "schema", "table", "attribute", "type",
        "k", "p0", "d", "epsilon", "rounds", "seed", "domain-min",
        "domain-max", "query-id", "encrypt", "timeout-ms", "fault-spec",
-       "shape-spec", "group-size", "privacy-mechanism", "segments",
+       "group-size", "privacy-mechanism", "segments",
        "ldp-epsilon", "trace-queries", "http-port", "span-dump",
        "span-ring"});
   const auto self = static_cast<NodeId>(args.getInt("self", 0));
@@ -442,27 +366,17 @@ int cmdNode(int argc, const char* const* argv) {
   tcpOptions.keySeed = descriptor.queryId ^ 0x9e3779b97f4a7c15ULL;
   net::TcpTransport tcpTransport(self, peers, tcpOptions);
 
-  // Optional WAN shaping and deterministic fault schedule for robustness
-  // drills (see docs/ROBUSTNESS.md for both grammars).  Shaping wraps the
-  // sockets first and faults wrap shaping, so an injected drop is a
-  // sender-side loss that never consumes WAN "air time".
-  const net::ShapingSpec shapeSpec =
-      net::ShapingSpec::parse(args.getString("shape-spec", ""));
-  std::unique_ptr<net::ShapingTransport> shaped;
-  net::Transport* transportPtr = &tcpTransport;
-  if (!shapeSpec.empty()) {
-    shaped = std::make_unique<net::ShapingTransport>(tcpTransport, shapeSpec);
-    transportPtr = shaped.get();
-  }
+  // Optional deterministic fault schedule for robustness drills (see
+  // docs/ROBUSTNESS.md for the grammar).
   const net::FaultSpec faultSpec =
       net::FaultSpec::parse(args.getString("fault-spec", ""));
   std::unique_ptr<net::FaultInjectingTransport> faulty;
   if (!faultSpec.empty()) {
-    faulty = std::make_unique<net::FaultInjectingTransport>(*transportPtr,
-                                                            faultSpec);
-    transportPtr = faulty.get();
+    faulty =
+        std::make_unique<net::FaultInjectingTransport>(tcpTransport, faultSpec);
   }
-  net::Transport& transport = *transportPtr;
+  net::Transport& transport =
+      faulty ? *faulty : static_cast<net::Transport&>(tcpTransport);
 
   const auto seed =
       static_cast<std::uint64_t>(args.getInt("seed", 42)) + self;
@@ -533,8 +447,8 @@ int cmdMetrics(int argc, const char* const* argv) {
       argc, argv,
       {"parties", "rows", "dist", "type", "k", "protocol", "p0", "d",
        "epsilon", "rounds", "seed", "domain-min", "domain-max", "query-id",
-       "format", "trace", "fault-spec", "shape-spec", "group-size",
-       "privacy-mechanism", "segments", "ldp-epsilon"});
+       "format", "trace", "fault-spec", "group-size", "privacy-mechanism",
+       "segments", "ldp-epsilon"});
   const auto n = static_cast<std::size_t>(args.getInt("parties", 4));
   if (n < 3) throw ConfigError("metrics: --parties must be >= 3");
   const std::string format = args.getString("format", "both");
@@ -556,36 +470,21 @@ int cmdMetrics(int argc, const char* const* argv) {
   if (args.getBool("trace")) obs::EventTracer::global().enable(&std::cerr);
 
   net::InProcTransport inproc(n);
-  // WAN shaping under faults, same stacking as `privtopk node`: shaping
-  // wraps the base transport, fault injection wraps shaping.
-  const net::ShapingSpec shapeSpec =
-      net::ShapingSpec::parse(args.getString("shape-spec", ""));
-  std::unique_ptr<net::ShapingTransport> shaped;
-  net::Transport* transportPtr = &inproc;
-  if (!shapeSpec.empty()) {
-    shaped = std::make_unique<net::ShapingTransport>(inproc, shapeSpec);
-    transportPtr = shaped.get();
-  }
   const net::FaultSpec faultSpec =
       net::FaultSpec::parse(args.getString("fault-spec", ""));
   std::unique_ptr<net::FaultInjectingTransport> faulty;
   if (!faultSpec.empty()) {
-    faulty = std::make_unique<net::FaultInjectingTransport>(*transportPtr,
-                                                            faultSpec);
-    transportPtr = faulty.get();
+    faulty = std::make_unique<net::FaultInjectingTransport>(inproc, faultSpec);
   }
-  net::Transport& transport = *transportPtr;
+  net::Transport& transport =
+      faulty ? *faulty : static_cast<net::Transport&>(inproc);
   // Under injected faults the ring needs headroom to detect and repair
-  // before the default initiator deadline; under WAN latencies the
-  // retransmit deadline must exceed the slowest shaped round trip.
+  // before the default initiator deadline.
   query::ServiceOptions serviceOptions;
   serviceOptions.traceQueries = args.getBool("trace");
   if (!faultSpec.empty()) {
     serviceOptions.retransmitAfter = std::chrono::milliseconds(250);
     serviceOptions.deadAfterFailures = 2;
-  }
-  if (!shapeSpec.empty()) {
-    serviceOptions.retransmitAfter = std::chrono::milliseconds(2000);
   }
   std::vector<std::unique_ptr<query::NodeService>> services;
   for (std::size_t i = 0; i < n; ++i) {
