@@ -1,6 +1,5 @@
 #include "net/message.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace privtopk::net {
@@ -68,14 +67,7 @@ Bytes encodeMessage(const Message& message) {
     for (NodeId id : announce.ringOrder) w.writeU32(id);
     w.writeU64(announce.parentQueryId);
     w.writeU8(announce.phase);
-    w.writeU32(announce.groupSize);
     if (announce.phase == 1) w.writeVarint(announce.groups);
-    w.writeVarint(announce.mechanismId);
-    if (announce.mechanismId == 1) {
-      w.writeVarint(announce.segments);
-    } else if (announce.mechanismId == 2) {
-      w.writeF64(announce.ldpEpsilon);
-    }
     writeContext(w, announce.ctx);
   }
   return w.take();
@@ -134,7 +126,6 @@ Message decodeMessage(std::span<const std::uint8_t> bytes) {
       }
       announce.parentQueryId = r.readU64();
       announce.phase = r.readU8();
-      announce.groupSize = r.readU32();
       if (announce.phase == 1) {
         const std::uint64_t groups = r.readVarint();
         // A grouped query runs at least three groups.
@@ -143,24 +134,6 @@ Message decodeMessage(std::span<const std::uint8_t> bytes) {
           throw ProtocolError("QueryAnnounce: group count out of range");
         }
         announce.groups = static_cast<std::uint32_t>(groups);
-      }
-      const std::uint64_t mechanism = r.readVarint();
-      if (mechanism > 2) {
-        throw ProtocolError("QueryAnnounce: unknown privacy mechanism");
-      }
-      announce.mechanismId = static_cast<std::uint8_t>(mechanism);
-      if (announce.mechanismId == 1) {
-        const std::uint64_t segments = r.readVarint();
-        if (segments < 2 || segments > 64) {
-          throw ProtocolError("QueryAnnounce: segment count out of range");
-        }
-        announce.segments = static_cast<std::uint32_t>(segments);
-      } else if (announce.mechanismId == 2) {
-        const double epsilon = r.readF64();
-        if (!std::isfinite(epsilon) || !(epsilon > 0.0) || epsilon > 64.0) {
-          throw ProtocolError("QueryAnnounce: ldp epsilon out of range");
-        }
-        announce.ldpEpsilon = epsilon;
       }
       announce.ctx = readContext(r);
       if (announce.phase > 2) {

@@ -64,6 +64,9 @@ struct SumToken {
 
 /// Announces a new query to the ring: the encoded query descriptor (opaque
 /// at this layer; see query/descriptor.hpp) plus the agreed ring order.
+/// All of the query but its id travels only inside the descriptor,
+/// privacy mechanism and group size included; QueryDescriptor::decode
+/// validates it.
 /// Circles the ring once so every participant can register before the
 /// first round token arrives (links are FIFO, so ordering is guaranteed).
 struct QueryAnnounce {
@@ -76,19 +79,9 @@ struct QueryAnnounce {
   // phase-2 merge ring of delegates; each phase announce names the parent
   // query it serves.  Zero parentQueryId + phase 0 is a standalone query.
   std::uint64_t parentQueryId = 0;
-  std::uint8_t phase = 0;      ///< 0 standalone, 1 group ring, 2 merge ring
-  std::uint32_t groupSize = 0; ///< parent's requested group size (echo)
+  std::uint8_t phase = 0;  ///< 0 standalone, 1 group ring, 2 merge ring
   /// Phase 1 only: the number of groups, i.e. the merge ring's length.
   std::uint32_t groups = 0;
-
-  // Privacy-mechanism echo (protocol/mechanism.hpp).  Duplicates the
-  // selection inside the (opaque) descriptor so this layer can validate
-  // without decoding it; the service cross-checks the echo against the
-  // decoded descriptor on arrival.  Varint on the wire: the default
-  // (mechanismId 0 = schedule) costs one zero byte and writes no knob.
-  std::uint8_t mechanismId = 0;   ///< protocol::MechanismKind wire id
-  std::uint32_t segments = 0;     ///< segment count (mechanismId 1 only)
-  double ldpEpsilon = 0.0;        ///< LDP epsilon (mechanismId 2 only)
   obs::TraceContext ctx{};
 
   friend bool operator==(const QueryAnnounce&, const QueryAnnounce&) = default;

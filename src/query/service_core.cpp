@@ -45,13 +45,9 @@ std::int64_t toTraceNs(ServiceCore::TimePoint tp) {
       .count();
 }
 
-/// Builds a QueryAnnounce for `descriptor`, duplicating the privacy
-/// mechanism selection into the wire-level echo fields (validated by the
-/// net layer without decoding the descriptor blob).
 net::QueryAnnounce announceFor(const QueryDescriptor& descriptor,
                                std::vector<NodeId> ringOrder,
                                std::uint64_t parentQueryId, std::uint8_t phase,
-                               std::uint32_t groupSize,
                                obs::TraceContext ctx) {
   net::QueryAnnounce announce;
   announce.queryId = descriptor.queryId;
@@ -59,40 +55,8 @@ net::QueryAnnounce announceFor(const QueryDescriptor& descriptor,
   announce.ringOrder = std::move(ringOrder);
   announce.parentQueryId = parentQueryId;
   announce.phase = phase;
-  announce.groupSize = groupSize;
-  const protocol::MechanismSpec& mechanism = descriptor.params.mechanism;
-  announce.mechanismId = static_cast<std::uint8_t>(mechanism.kind);
-  if (mechanism.kind == protocol::MechanismKind::Segmented) {
-    announce.segments = mechanism.segments;
-  } else if (mechanism.kind == protocol::MechanismKind::Ldp) {
-    announce.ldpEpsilon = mechanism.ldpEpsilon;
-  }
   announce.ctx = ctx;
   return announce;
-}
-
-/// Throws ProtocolError when the announce's mechanism echo disagrees with
-/// the mechanism inside the decoded descriptor (a tampered or buggy
-/// announce must not pass net-layer validation with one mechanism and run
-/// another).
-void requireMechanismEcho(const net::QueryAnnounce& announce,
-                          const QueryDescriptor& descriptor) {
-  const protocol::MechanismSpec& mechanism = descriptor.params.mechanism;
-  protocol::MechanismSpec echoed;
-  if (announce.mechanismId >
-      static_cast<std::uint8_t>(protocol::MechanismKind::Ldp)) {
-    throw ProtocolError("QueryAnnounce: unknown privacy mechanism");
-  }
-  echoed.kind = static_cast<protocol::MechanismKind>(announce.mechanismId);
-  if (echoed.kind == protocol::MechanismKind::Segmented) {
-    echoed.segments = announce.segments;
-  } else if (echoed.kind == protocol::MechanismKind::Ldp) {
-    echoed.ldpEpsilon = announce.ldpEpsilon;
-  }
-  if (!(echoed == mechanism)) {
-    throw ProtocolError(
-        "QueryAnnounce: mechanism echo disagrees with the descriptor");
-  }
 }
 
 }  // namespace
@@ -422,9 +386,9 @@ void ServiceCore::beginFlat(const QueryDescriptor& descriptor,
   }
   // Announce first (FIFO links deliver it ahead of the round token on
   // every hop), then start the protocol immediately.
-  queueSend(state,
-            announceFor(descriptor, ringOf(state), 0, 0, 0, state.traceCtx),
-            now, fx);
+  net::QueryAnnounce announce =
+      announceFor(descriptor, ringOf(state), 0, 0, state.traceCtx);
+  queueSend(state, std::move(announce), now, fx);
   beginRounds(state, now, fx);
 }
 
@@ -432,7 +396,6 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
                                const std::vector<NodeId>& ringOrder,
                                LocalScan scan, TimePoint now, Effects& fx) {
   const std::uint64_t parentId = descriptor.queryId;
-  const auto groupSizeWire = static_cast<std::uint32_t>(descriptor.groupSize);
 
   // The partition and delegate selection are a pure function of this
   // node's seed and the query id, so the runner can replay the exact
@@ -461,8 +424,8 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
   // Phase-1 announces also carry the group count (the merge ring's
   // length), which paces the members' result probe (onPhaseDone).
   const auto groupAnnounce = [&](const QueryDescriptor& d, std::size_t g) {
-    net::QueryAnnounce announce = announceFor(d, layout.groups[g], parentId,
-                                              1, groupSizeWire, rootCtx);
+    net::QueryAnnounce announce =
+        announceFor(d, layout.groups[g], parentId, 1, rootCtx);
     announce.groups = static_cast<std::uint32_t>(layout.groups.size());
     return announce;
   };
@@ -592,7 +555,6 @@ void ServiceCore::onAnnounce(const net::QueryAnnounce& announce,
   if (descriptor.queryId != announce.queryId) {
     throw ProtocolError("QueryAnnounce: inner/outer query id mismatch");
   }
-  requireMechanismEcho(announce, descriptor);
   if (!protocol::core::meetsPrivacyFloor(announce.ringOrder.size())) {
     throw ProtocolError("QueryAnnounce: ring needs >= 3 nodes");
   }
@@ -625,7 +587,6 @@ void ServiceCore::onAnnounce(const net::QueryAnnounce& announce,
   if (announce.phase == 1 && !knows(announce.parentQueryId)) {
     QueryDescriptor parentDescriptor = descriptor;
     parentDescriptor.queryId = announce.parentQueryId;
-    parentDescriptor.groupSize = announce.groupSize;
     QueryState& parent = registerParent(parentDescriptor, announce.ringOrder,
                                         announce.queryId, in.now);
     parent.traceCtx = child;
@@ -1029,10 +990,8 @@ void ServiceCore::startMergePhase(QueryState& parent, TimePoint now,
   state.fanOut = std::move(parent.fanOut);
   buildParticipant(state, parent.layout.mergeRing, *parent.groupRaw);
   queueSend(state,
-            announceFor(
-                merged, parent.layout.mergeRing, parentId, 2,
-                static_cast<std::uint32_t>(parent.descriptor.groupSize),
-                parent.traceCtx),
+            announceFor(merged, parent.layout.mergeRing, parentId, 2,
+                        parent.traceCtx),
             now, fx);
   beginRounds(state, now, fx);
 }

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 
+#include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "data/generator.hpp"
 #include "net/fault.hpp"
 #include "net/message.hpp"
 #include "query/descriptor.hpp"
+#include "query/service_core.hpp"
 
 namespace privtopk {
 namespace {
@@ -108,10 +112,14 @@ TEST(FuzzDecode, QueryDescriptorSurvivesMutations) {
 
 TEST(FuzzDecode, MechanismFieldsSurviveMutations) {
   // Mutate valid segmented/LDP encodings (descriptor and announce): the
-  // mechanism tail must reject corruption with a typed error, not crash.
+  // mechanism tail must reject corruption with a typed error, not crash,
+  // and a service handed any announce that still decodes must drop or
+  // serve it without throwing.
   Rng rng(0xF013);
   query::QueryDescriptor segmented;
   segmented.queryId = 6;
+  segmented.tableName = "sales";
+  segmented.attribute = "revenue";
   segmented.params.k = 4;
   segmented.params.rounds = 5;
   segmented.params.mechanism.kind = protocol::MechanismKind::Segmented;
@@ -119,11 +127,12 @@ TEST(FuzzDecode, MechanismFieldsSurviveMutations) {
   query::QueryDescriptor ldp = segmented;
   ldp.params.mechanism.kind = protocol::MechanismKind::Ldp;
   ldp.params.mechanism.ldpEpsilon = 0.5;
-  net::QueryAnnounce announce{7, segmented.encode(), {0, 1, 2}};
-  announce.mechanismId = 1;
-  announce.segments = 8;
+  const net::QueryAnnounce announce{6, segmented.encode(), {0, 1, 2}};
   const std::vector<Bytes> seeds = {segmented.encode(), ldp.encode(),
                                     net::encodeMessage(announce)};
+  const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
+  const LogLevel savedLevel = logLevel();
+  setLogLevel(LogLevel::Error);  // every dropped announce logs a warning
   for (int i = 0; i < 5000; ++i) {
     Bytes mutated = seeds[i % seeds.size()];
     const int mutations = 1 + static_cast<int>(rng.index(3));
@@ -134,9 +143,15 @@ TEST(FuzzDecode, MechanismFieldsSurviveMutations) {
     expectNoCrash(mutated, [](const Bytes& b) {
       (void)query::QueryDescriptor::decode(b);
     });
+    std::optional<net::Message> decoded;
     expectNoCrash(mutated,
-                  [](const Bytes& b) { (void)net::decodeMessage(b); });
+                  [&](const Bytes& b) { decoded = net::decodeMessage(b); });
+    if (decoded && std::holds_alternative<net::QueryAnnounce>(*decoded)) {
+      query::ServiceCore core(1, dbs[1], 7, query::ServiceOptions{}, nullptr);
+      EXPECT_NO_THROW((void)core.onMessage(0, *decoded, 0, {}));
+    }
   }
+  setLogLevel(savedLevel);
 }
 
 TEST(FuzzDecode, RoundTripSurvivesAdversarialVectors) {

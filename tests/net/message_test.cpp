@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 namespace privtopk::net {
 namespace {
 
@@ -59,7 +57,6 @@ TEST(Message, GroupedAnnounceRoundTrip) {
   QueryAnnounce announce{22, Bytes{0xaa}, {4, 5, 6}};
   announce.parentQueryId = 99;
   announce.phase = 1;
-  announce.groupSize = 3;
   announce.groups = 4;
   const Message decoded = decodeMessage(encodeMessage(announce));
   ASSERT_TRUE(std::holds_alternative<QueryAnnounce>(decoded));
@@ -69,57 +66,6 @@ TEST(Message, GroupedAnnounceRoundTrip) {
   announce.groups = 0;
   EXPECT_EQ(std::get<QueryAnnounce>(decodeMessage(encodeMessage(announce))),
             announce);
-}
-
-TEST(Message, MechanismEchoRoundTrip) {
-  // Segmented: the segment count rides the wire; the LDP knob does not.
-  QueryAnnounce segmented{31, Bytes{0x01}, {0, 1, 2}};
-  segmented.mechanismId = 1;
-  segmented.segments = 8;
-  const Message decoded = decodeMessage(encodeMessage(segmented));
-  ASSERT_TRUE(std::holds_alternative<QueryAnnounce>(decoded));
-  EXPECT_EQ(std::get<QueryAnnounce>(decoded), segmented);
-
-  QueryAnnounce ldp{32, Bytes{0x01}, {0, 1, 2}};
-  ldp.mechanismId = 2;
-  ldp.ldpEpsilon = 0.25;
-  EXPECT_EQ(std::get<QueryAnnounce>(decodeMessage(encodeMessage(ldp))), ldp);
-}
-
-TEST(Message, DefaultMechanismCostsOneByte) {
-  QueryAnnounce schedule{33, Bytes{0x01}, {0, 1, 2}};
-  QueryAnnounce segmented = schedule;
-  segmented.mechanismId = 1;
-  segmented.segments = 8;
-  // Schedule writes the id byte only; segmented adds id + segments varints.
-  EXPECT_EQ(encodeMessage(schedule).size() + 1,
-            encodeMessage(segmented).size());
-}
-
-TEST(Message, MechanismEchoValidation) {
-  // Unknown mechanism ids are rejected at decode time.
-  QueryAnnounce unknown{34, Bytes{0x01}, {0, 1, 2}};
-  unknown.mechanismId = 3;
-  EXPECT_THROW((void)decodeMessage(encodeMessage(unknown)), ProtocolError);
-
-  // Out-of-range segment counts are rejected.
-  QueryAnnounce tooFew{35, Bytes{0x01}, {0, 1, 2}};
-  tooFew.mechanismId = 1;
-  tooFew.segments = 1;
-  EXPECT_THROW((void)decodeMessage(encodeMessage(tooFew)), ProtocolError);
-
-  QueryAnnounce tooMany{36, Bytes{0x01}, {0, 1, 2}};
-  tooMany.mechanismId = 1;
-  tooMany.segments = 65;
-  EXPECT_THROW((void)decodeMessage(encodeMessage(tooMany)), ProtocolError);
-
-  // Non-finite or non-positive epsilons are rejected.
-  QueryAnnounce badEpsilon{37, Bytes{0x01}, {0, 1, 2}};
-  badEpsilon.mechanismId = 2;
-  badEpsilon.ldpEpsilon = 0.0;
-  EXPECT_THROW((void)decodeMessage(encodeMessage(badEpsilon)), ProtocolError);
-  badEpsilon.ldpEpsilon = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)decodeMessage(encodeMessage(badEpsilon)), ProtocolError);
 }
 
 TEST(Message, GroupedAnnounceValidation) {

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -274,22 +275,63 @@ TEST(SimulatedRun, RejectsPerRoundRemap) {
   EXPECT_THROW(sim.initiate(d, {0, 1, 2}), ConfigError);
 }
 
+// Announces no node can serve: per-round remapping, and every mechanism
+// QueryDescriptor::decode rejects (the descriptor is the announce's only
+// copy of the mechanism).  Each case patches the bytes of one encoded
+// schedule descriptor.
 TEST(ServiceCore, AnnounceWithPerRoundRemapIsDropped) {
   const auto dbs = data::fleetFromValues({{1}, {2}, {3}});
-  ServiceCore core(1, dbs[1], 7, ServiceOptions{}, nullptr);
-  QueryDescriptor d = topK(5, 1);
-  d.params.remapEachRound = true;
-  net::QueryAnnounce announce;
-  announce.queryId = 5;
-  announce.descriptor = d.encode();
-  announce.ringOrder = {0, 1, 2};
-  const std::uint64_t before = core.metrics().droppedMessages.value();
-  const ServiceCore::Effects fx =
-      core.onMessage(0, net::Message{announce}, 0, {});
-  EXPECT_TRUE(fx.sends.empty());
-  EXPECT_TRUE(fx.scans.empty());
-  EXPECT_EQ(core.activeQueries(), 0u);
-  EXPECT_EQ(core.metrics().droppedMessages.value(), before + 1);
+  // The encoding ends [remap u8][filter][groupSize 0][mechanism 0].
+  const Bytes base = topK(5, 1).encode();
+  ASSERT_EQ(base.back(), 0);
+  ByteWriter emptyFilter;
+  Filter{}.encodeTo(emptyFilter);
+  Bytes remap = base;
+  remap[base.size() - 3 - emptyFilter.size()] = 1;
+  ASSERT_TRUE(QueryDescriptor::decode(remap).params.remapEachRound);
+  // Unpatched, the same announce is served.
+  ServiceCore control(1, dbs[1], 7, ServiceOptions{}, nullptr);
+  const net::QueryAnnounce served{5, base, {0, 1, 2}};
+  const ServiceCore::Effects servedFx =
+      control.onMessage(0, net::Message{served}, 0, {});
+  ASSERT_EQ(servedFx.scans.size(), 1u);
+
+  // `base` with its mechanism byte replaced by `id` and `writeKnob`'s bytes.
+  const auto mechanism = [&base](std::uint64_t id, auto writeKnob) {
+    ByteWriter w;
+    w.writeBytes(std::span(base).first(base.size() - 1));
+    w.writeVarint(id);
+    writeKnob(w);
+    return w.take();
+  };
+  const auto segments = [](std::uint64_t s) {
+    return [s](ByteWriter& w) { w.writeVarint(s); };
+  };
+  const auto epsilon = [](double e) {
+    return [e](ByteWriter& w) { w.writeF64(e); };
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::string, Bytes>> cases = {
+      {"per-round remap", remap},
+      {"unknown mechanism 3", mechanism(3, [](ByteWriter&) {})},
+      {"segments 1", mechanism(1, segments(1))},
+      {"segments 65", mechanism(1, segments(65))},
+      {"ldp epsilon 0", mechanism(2, epsilon(0.0))},
+      {"ldp epsilon NaN", mechanism(2, epsilon(nan))},
+      {"ldp epsilon 65", mechanism(2, epsilon(65.0))},
+  };
+  for (const auto& [name, descriptor] : cases) {
+    SCOPED_TRACE(name);
+    ServiceCore core(1, dbs[1], 7, ServiceOptions{}, nullptr);
+    const net::QueryAnnounce announce{5, descriptor, {0, 1, 2}};
+    const std::uint64_t before = core.metrics().droppedMessages.value();
+    const ServiceCore::Effects fx =
+        core.onMessage(0, net::Message{announce}, 0, {});
+    EXPECT_TRUE(fx.sends.empty());
+    EXPECT_TRUE(fx.scans.empty());
+    EXPECT_EQ(core.activeQueries(), 0u);
+    EXPECT_EQ(core.metrics().droppedMessages.value(), before + 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
