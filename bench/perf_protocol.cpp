@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "support/bench_json.hpp"
 #include "support/experiment.hpp"
@@ -18,6 +19,7 @@
 #include "protocol/group.hpp"
 #include "protocol/runner.hpp"
 #include "protocol/secure_sum.hpp"
+#include "query/federation.hpp"
 #include "query/service_sim.hpp"
 
 using namespace privtopk;
@@ -161,6 +163,65 @@ void BM_LocalTopKStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalTopKStep)->Arg(1)->Arg(16)->Arg(256);
+
+// One node's local scan (LocalParty::localInput / localAggregate) over a
+// 50k-row table, as bulk-inproc asks it: top-k 200 or Sum, unfiltered and
+// under each filter shape (Filter::parse syntax).  This is the per-node
+// figure behind perfbench's data.local_input_us.
+const data::PrivateDatabase& scanTable() {
+  static const data::PrivateDatabase db = [] {
+    data::Table t(data::Schema({{"value", data::ColumnType::Int},
+                                {"region", data::ColumnType::Int},
+                                {"label", data::ColumnType::Text}}));
+    Rng rng(14);
+    for (std::size_t row = 0; row < 50'000; ++row) {
+      const Value region = rng.uniformInt(0, 7);
+      const std::string label = "r" + std::to_string(region);
+      t.appendRow({data::Cell{rng.uniformInt(1, 10'000)}, data::Cell{region},
+                   data::Cell{label}});
+    }
+    data::PrivateDatabase out("bench");
+    out.addTable("data", std::move(t));
+    return out;
+  }();
+  return db;
+}
+
+void BM_LocalInput(benchmark::State& state, const char* filter,
+                   query::QueryType type) {
+  query::QueryDescriptor d;
+  d.type = type;
+  d.params.k = 200;
+  d.filter = query::Filter::parse(filter);
+  const query::LocalParty party(scanTable());
+  for (auto _ : state) {
+    if (d.isAggregate()) {
+      benchmark::DoNotOptimize(party.localAggregate(d));
+    } else {
+      benchmark::DoNotOptimize(party.localInput(d));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          50'000);
+}
+BENCHMARK_CAPTURE(BM_LocalInput, unfiltered_topk, "", query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, int_eq_topk, "region==3",
+                  query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, int_le_topk, "value<=5000",
+                  query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, text_eq_topk, "label==r3",
+                  query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, two_clauses_topk, "region==3,value<=5000",
+                  query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, unfiltered_sum, "", query::QueryType::Sum);
+BENCHMARK_CAPTURE(BM_LocalInput, int_eq_sum, "region==3",
+                  query::QueryType::Sum);
+BENCHMARK_CAPTURE(BM_LocalInput, int_le_sum, "value<=5000",
+                  query::QueryType::Sum);
+BENCHMARK_CAPTURE(BM_LocalInput, text_eq_sum, "label==r3",
+                  query::QueryType::Sum);
+BENCHMARK_CAPTURE(BM_LocalInput, two_clauses_sum, "region==3,value<=5000",
+                  query::QueryType::Sum);
 
 // Monte-Carlo sweep scaling: one figure-style point (100 trials) at a
 // given worker-thread count.  The exported counters record the wall clock

@@ -9,9 +9,11 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,49 @@ namespace privtopk::data {
 /// Optional row filter applied before extracting attribute values; receives
 /// the table and a row index.
 using RowPredicate = std::function<bool(const Table&, std::size_t)>;
+
+/// Rows a column scan evaluates at a time.  One block's selection mask and
+/// its compacted values live on the stack, so a scan's memory is
+/// O(k + block) whatever the table's size.
+inline constexpr std::size_t kScanBlockRows = 1024;
+
+/// Calls body(i) for every i < n, n <= kScanBlockRows.  A full block's
+/// trip count is a compile-time constant, which lets even -O2's cheap
+/// vectoriser take a branch-free body.
+template <typename Body>
+inline void forEachInBlock(std::size_t n, const Body& body) {
+  if (n == kScanBlockRows) {
+    for (std::size_t i = 0; i < kScanBlockRows; ++i) body(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
+
+/// A row filter evaluated one column block at a time: for every i < n it
+/// clears mask[i] when row `begin + i` does not qualify, and leaves the
+/// other bytes (each 0 or 1) alone.  Called once per block, never per row.
+using BlockFilter =
+    std::function<void(std::size_t begin, std::size_t n, std::uint8_t* mask)>;
+
+/// Which end of the value order a selection keeps.
+enum class Best { Largest, Smallest };
+
+/// The k best values of `column` among the rows `filter` keeps (all rows
+/// when it is empty), best first: descending for Largest, ascending for
+/// Smallest.  Duplicates are kept.  The column is never copied: the scan
+/// keeps at most k values in a heap whose top is the worst value kept, so
+/// most rows cost one comparison.
+[[nodiscard]] TopKVector selectBest(std::span<const Value> column,
+                                    std::size_t k, Best best,
+                                    const BlockFilter& filter = {});
+
+/// Sum and count of the rows `filter` keeps.
+struct ColumnSum {
+  std::int64_t sum = 0;
+  std::int64_t rows = 0;
+};
+[[nodiscard]] ColumnSum sumSelected(std::span<const Value> column,
+                                    const BlockFilter& filter = {});
 
 class PrivateDatabase {
  public:
@@ -42,7 +87,7 @@ class PrivateDatabase {
   /// Local top-k: the k largest values of `attribute` in `tableName`
   /// (all values if fewer than k rows), sorted descending.  Duplicates kept
   /// (the global vector is a multiset).  `predicate`, when given, restricts
-  /// which rows participate.
+  /// which rows participate.  Copy-free (see selectBest).
   [[nodiscard]] TopKVector localTopK(const std::string& tableName,
                                      const std::string& attribute,
                                      std::size_t k,
@@ -63,10 +108,6 @@ class PrivateDatabase {
       const RowPredicate& predicate = {}) const;
 
  private:
-  [[nodiscard]] std::vector<Value> extract(const std::string& tableName,
-                                           const std::string& attribute,
-                                           const RowPredicate& predicate) const;
-
   std::string ownerName_;
   std::map<std::string, Table> tables_;
 };

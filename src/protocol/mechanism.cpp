@@ -162,9 +162,7 @@ SegmentedMergeAlgorithm::SegmentedMergeAlgorithm(std::size_t k,
                                                  std::uint32_t segments)
     : k_(k), segments_(segments) {
   if (k_ == 0) throw ConfigError("SegmentedMergeAlgorithm: k must be >= 1");
-  if (segments_ < kMinSegments || segments_ > kMaxSegments) {
-    throw ConfigError("SegmentedMergeAlgorithm: segments must be in [2, 64]");
-  }
+  MechanismSpec{MechanismKind::Segmented, segments_, 1.0}.validate();
 }
 
 void SegmentedMergeAlgorithm::reset(TopKVector localTopK) {

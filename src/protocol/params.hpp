@@ -49,7 +49,8 @@ enum class MechanismKind : std::uint8_t {
 
 [[nodiscard]] const char* toString(MechanismKind kind);
 
-/// Segment-count bounds for MechanismKind::Segmented (wire-validated).
+/// Segment-count bounds for MechanismKind::Segmented, enforced by
+/// MechanismSpec::validate.
 inline constexpr std::uint32_t kMinSegments = 2;
 inline constexpr std::uint32_t kMaxSegments = 64;
 
@@ -64,6 +65,7 @@ struct MechanismSpec {
   double ldpEpsilon = 1.0;
 
   /// Throws ConfigError when the knob matching `kind` is out of range.
+  /// The one place the knob ranges are checked.
   void validate() const;
 
   /// Compares `kind` and the knobs that kind actually consults.

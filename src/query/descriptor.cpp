@@ -1,6 +1,7 @@
 #include "query/descriptor.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "protocol/mechanism.hpp"
@@ -120,22 +121,22 @@ QueryDescriptor QueryDescriptor::decode(std::span<const std::uint8_t> bytes) {
     throw ProtocolError("QueryDescriptor: unknown privacy mechanism");
   }
   d.params.mechanism.kind = static_cast<protocol::MechanismKind>(rawMechanism);
+  // The knob ranges live in MechanismSpec::validate alone; a segment count
+  // too wide for the field saturates, so validate() still sees it.
   if (d.params.mechanism.kind == protocol::MechanismKind::Segmented) {
-    const std::uint64_t segments = r.readVarint();
-    if (segments < protocol::kMinSegments ||
-        segments > protocol::kMaxSegments) {
-      throw ProtocolError("QueryDescriptor: segment count out of range");
-    }
-    d.params.mechanism.segments = static_cast<std::uint32_t>(segments);
+    d.params.mechanism.segments = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(r.readVarint(), UINT32_MAX));
   } else if (d.params.mechanism.kind == protocol::MechanismKind::Ldp) {
-    const double epsilon = r.readF64();
-    if (!std::isfinite(epsilon) || !(epsilon > 0.0) || epsilon > 64.0) {
-      throw ProtocolError("QueryDescriptor: ldp epsilon out of range");
-    }
-    d.params.mechanism.ldpEpsilon = epsilon;
+    d.params.mechanism.ldpEpsilon = r.readF64();
   }
   if (!r.atEnd()) throw ProtocolError("QueryDescriptor: trailing bytes");
-  d.validate();
+  // The one validation a received descriptor gets: its receivers trust
+  // what decode returns.  Invalid fields on the wire are a wire violation.
+  try {
+    d.validate();
+  } catch (const ConfigError& e) {
+    throw ProtocolError(std::string("QueryDescriptor: ") + e.what());
+  }
   return d;
 }
 

@@ -17,11 +17,7 @@ Value mirror(const Domain& domain, Value v) {
 
 }  // namespace
 
-void LocalParty::validateSchema(const QueryDescriptor& descriptor) const {
-  descriptor.validate();
-  if (!db_->hasTable(descriptor.tableName)) {
-    throw SchemaError("LocalParty: no table '" + descriptor.tableName + "'");
-  }
+void LocalParty::checkSchema(const QueryDescriptor& descriptor) const {
   const data::Table& table = db_->table(descriptor.tableName);
   // intColumn throws a precise SchemaError for missing/mistyped attribute.
   (void)table.intColumn(descriptor.attribute);
@@ -29,50 +25,53 @@ void LocalParty::validateSchema(const QueryDescriptor& descriptor) const {
 }
 
 TopKVector LocalParty::localInput(const QueryDescriptor& descriptor) const {
-  validateSchema(descriptor);
-  const std::size_t k = descriptor.effectiveK();
-  const Domain& domain = descriptor.params.domain;
+  descriptor.validate();
+  return scanInput(descriptor);
+}
 
-  const data::RowPredicate predicate = descriptor.filter.predicate();
-  TopKVector values =
-      descriptor.isBottom()
-          ? db_->localBottomK(descriptor.tableName, descriptor.attribute, k,
-                              predicate)
-          : db_->localTopK(descriptor.tableName, descriptor.attribute, k,
-                           predicate);
+std::vector<std::int64_t> LocalParty::localAggregate(
+    const QueryDescriptor& descriptor) const {
+  descriptor.validate();
+  return scanAggregate(descriptor);
+}
+
+// The scans check the schema as they resolve the table, the attribute
+// column and (Filter::bind) the filter's columns.
+TopKVector LocalParty::scanInput(const QueryDescriptor& descriptor) const {
+  const data::Table& table = db_->table(descriptor.tableName);
+  const std::vector<Value>& column = table.intColumn(descriptor.attribute);
+  const data::BlockFilter filter = descriptor.filter.bind(table);
+  const std::size_t k = descriptor.effectiveK();
+  const data::Best best =
+      descriptor.isBottom() ? data::Best::Smallest : data::Best::Largest;
+  TopKVector values = data::selectBest(column, k, best, filter);
+  const Domain& domain = descriptor.params.domain;
   for (Value v : values) {
     if (!domain.contains(v)) {
       throw ConfigError("LocalParty: value outside the public domain");
     }
   }
   if (descriptor.isBottom()) {
-    // Mirror into max-space; localBottomK is ascending, so the mirrored
+    // Mirror into max-space; the bottom-k is ascending, so the mirrored
     // vector is descending, as the protocol expects.
     for (Value& v : values) v = mirror(domain, v);
   }
   return values;
 }
 
-std::vector<std::int64_t> LocalParty::localAggregate(
+std::vector<std::int64_t> LocalParty::scanAggregate(
     const QueryDescriptor& descriptor) const {
-  validateSchema(descriptor);
   if (!descriptor.isAggregate()) {
     throw ConfigError("LocalParty::localAggregate: not an aggregate query");
   }
   const data::Table& table = db_->table(descriptor.tableName);
-  const auto& column = table.intColumn(descriptor.attribute);
-  const data::RowPredicate predicate = descriptor.filter.predicate();
-  std::int64_t sum = 0;
-  std::int64_t rows = 0;
-  for (std::size_t row = 0; row < column.size(); ++row) {
-    if (predicate && !predicate(table, row)) continue;
-    sum += column[row];
-    ++rows;
-  }
+  const std::vector<Value>& column = table.intColumn(descriptor.attribute);
+  const data::BlockFilter filter = descriptor.filter.bind(table);
+  const data::ColumnSum total = data::sumSelected(column, filter);
   switch (descriptor.type) {
-    case QueryType::Sum: return {sum};
-    case QueryType::Count: return {rows};
-    case QueryType::Average: return {sum, rows};
+    case QueryType::Sum: return {total.sum};
+    case QueryType::Count: return {total.rows};
+    case QueryType::Average: return {total.sum, total.rows};
     default: throw ConfigError("localAggregate: unreachable");
   }
 }
@@ -104,7 +103,7 @@ QueryOutcome Federation::execute(const QueryDescriptor& descriptor,
     std::vector<std::vector<std::int64_t>> counters;
     counters.reserve(parties_->size());
     for (const auto& db : *parties_) {
-      counters.push_back(LocalParty(db).localAggregate(descriptor));
+      counters.push_back(LocalParty(db).scanAggregate(descriptor));
     }
     const protocol::SecureSumResult sum = protocol::secureSum(counters, rng);
     QueryOutcome outcome;
@@ -117,7 +116,7 @@ QueryOutcome Federation::execute(const QueryDescriptor& descriptor,
   std::vector<std::vector<Value>> inputs;
   inputs.reserve(parties_->size());
   for (const auto& db : *parties_) {
-    inputs.push_back(LocalParty(db).localInput(descriptor));
+    inputs.push_back(LocalParty(db).scanInput(descriptor));
   }
 
   protocol::ProtocolParams params = descriptor.params;

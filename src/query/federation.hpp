@@ -34,19 +34,30 @@ class LocalParty {
   /// Borrows `db`, which must outlive the party.
   explicit LocalParty(const data::PrivateDatabase& db) : db_(&db) {}
 
-  /// Validates the descriptor against the local schema; throws SchemaError
-  /// when the table/attribute is missing or not an int column.
-  void validateSchema(const QueryDescriptor& descriptor) const;
+  /// Checks a descriptor against the local schema; throws SchemaError when
+  /// the table/attribute is missing or not an int column, and
+  /// SchemaError/ConfigError on a filter the schema cannot serve.  Does
+  /// not validate the descriptor itself: QueryDescriptor::decode returns
+  /// only validated descriptors.
+  void checkSchema(const QueryDescriptor& descriptor) const;
 
   /// Extracts the protocol input: local top-k for top queries, MIRRORED
   /// local bottom-k for bottom queries (the protocol always maximizes).
   /// Values are clamped-checked against the public domain.  Not valid for
-  /// aggregate queries (use localAggregate()).
+  /// aggregate queries (use localAggregate()).  Validates the descriptor
+  /// first.
   [[nodiscard]] TopKVector localInput(const QueryDescriptor& descriptor) const;
 
   /// Per-party addends for aggregate queries: {sum} for Sum, {rows} for
-  /// Count, {sum, rows} for Average.
+  /// Count, {sum, rows} for Average.  Validates the descriptor first.
   [[nodiscard]] std::vector<std::int64_t> localAggregate(
+      const QueryDescriptor& descriptor) const;
+
+  /// localInput / localAggregate for an already validated descriptor: the
+  /// column scan alone (its schema is still checked).  One pass over the
+  /// column, one block of rows at a time; nothing is copied per row.
+  [[nodiscard]] TopKVector scanInput(const QueryDescriptor& descriptor) const;
+  [[nodiscard]] std::vector<std::int64_t> scanAggregate(
       const QueryDescriptor& descriptor) const;
 
  private:

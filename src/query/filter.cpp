@@ -34,6 +34,79 @@ bool applyOp(FilterOp op, const T& lhs, const T& rhs) {
   return false;
 }
 
+/// One clause with its column resolved: `ints` for an int clause, `texts`
+/// for a text clause (an empty column's data() may be null either way).
+struct BoundClause {
+  FilterOp op = FilterOp::Eq;
+  bool onText = false;
+  const Value* ints = nullptr;
+  Value intLiteral = 0;
+  const std::string* texts = nullptr;
+  std::string textLiteral;
+};
+
+/// 1 when a < b, else 0, from 64-bit subtract/xor/and/shift alone (Hacker's
+/// Delight 2-12: the sign of a - b, corrected for overflow).  Baseline
+/// x86-64 (SSE2) has no 64-bit vector compare, so a plain `<` keeps the
+/// clause loops scalar; these operations vectorise.
+std::uint8_t lessBit(Value a, Value b) {
+  const auto ua = static_cast<std::uint64_t>(a);
+  const auto ub = static_cast<std::uint64_t>(b);
+  const std::uint64_t d = ua - ub;
+  return static_cast<std::uint8_t>((d ^ ((ua ^ ub) & (d ^ ua))) >> 63);
+}
+
+/// 1 when a != b, else 0 (x | -x has its sign bit set iff x != 0).
+std::uint8_t differBit(Value a, Value b) {
+  const std::uint64_t x =
+      static_cast<std::uint64_t>(a) ^ static_cast<std::uint64_t>(b);
+  return static_cast<std::uint8_t>((x | (0 - x)) >> 63);
+}
+
+/// Whether an int cell passes `Op` against the literal, as 0 or 1.
+template <FilterOp Op>
+std::uint8_t keepInt(Value cell, Value literal) {
+  if constexpr (Op == FilterOp::Eq) return differBit(cell, literal) ^ 1;
+  if constexpr (Op == FilterOp::Ne) return differBit(cell, literal);
+  if constexpr (Op == FilterOp::Lt) return lessBit(cell, literal);
+  if constexpr (Op == FilterOp::Le) return lessBit(literal, cell) ^ 1;
+  if constexpr (Op == FilterOp::Gt) return lessBit(literal, cell);
+  if constexpr (Op == FilterOp::Ge) return lessBit(cell, literal) ^ 1;
+}
+
+/// mask[i] &= keepInt<Op>(cells[i]) for i < n.  The restrict parameters
+/// tell the compiler the mask does not alias the column; kept out of line
+/// so they still hold where -O2's cheap vectoriser looks at the loop.
+template <FilterOp Op>
+[[gnu::noinline]] void narrowInts(const Value* __restrict cells,
+                                  Value literal, std::uint8_t* __restrict mask,
+                                  std::size_t n) {
+  data::forEachInBlock(
+      n, [&](std::size_t i) { mask[i] &= keepInt<Op>(cells[i], literal); });
+}
+
+void narrowInts(FilterOp op, const Value* cells, Value literal,
+                std::uint8_t* mask, std::size_t n) {
+  switch (op) {
+    case FilterOp::Eq: return narrowInts<FilterOp::Eq>(cells, literal, mask, n);
+    case FilterOp::Ne: return narrowInts<FilterOp::Ne>(cells, literal, mask, n);
+    case FilterOp::Lt: return narrowInts<FilterOp::Lt>(cells, literal, mask, n);
+    case FilterOp::Le: return narrowInts<FilterOp::Le>(cells, literal, mask, n);
+    case FilterOp::Gt: return narrowInts<FilterOp::Gt>(cells, literal, mask, n);
+    case FilterOp::Ge: return narrowInts<FilterOp::Ge>(cells, literal, mask, n);
+  }
+}
+
+/// Text clauses are Eq/Ne only (validateAgainst).
+void narrowTexts(FilterOp op, const std::string* cells,
+                 const std::string& literal, std::uint8_t* mask,
+                 std::size_t n) {
+  const bool equal = op == FilterOp::Eq;
+  for (std::size_t i = 0; i < n; ++i) {
+    mask[i] &= static_cast<std::uint8_t>((cells[i] == literal) == equal);
+  }
+}
+
 }  // namespace
 
 Filter::Filter(std::vector<FilterClause> clauses)
@@ -84,6 +157,36 @@ data::RowPredicate Filter::predicate() const {
       }
     }
     return true;
+  };
+}
+
+data::BlockFilter Filter::bind(const data::Table& table) const {
+  if (clauses_.empty()) return {};
+  validateAgainst(table.schema());
+  std::vector<BoundClause> bound;
+  bound.reserve(clauses_.size());
+  for (const auto& clause : clauses_) {
+    BoundClause b;
+    b.op = clause.op;
+    if (const auto* value = std::get_if<Value>(&clause.literal)) {
+      b.ints = table.intColumn(clause.column).data();
+      b.intLiteral = *value;
+    } else {
+      b.onText = true;
+      b.texts = table.textColumn(clause.column).data();
+      b.textLiteral = std::get<std::string>(clause.literal);
+    }
+    bound.push_back(std::move(b));
+  }
+  return [bound = std::move(bound)](std::size_t begin, std::size_t n,
+                                    std::uint8_t* mask) {
+    for (const BoundClause& b : bound) {
+      if (b.onText) {
+        narrowTexts(b.op, b.texts + begin, b.textLiteral, mask, n);
+      } else {
+        narrowInts(b.op, b.ints + begin, b.intLiteral, mask, n);
+      }
+    }
   };
 }
 

@@ -59,8 +59,17 @@ class Filter {
   /// Eq/Ne.  Throws SchemaError/ConfigError.
   void validateAgainst(const data::Schema& schema) const;
 
-  /// Builds the row predicate for a concrete table.
+  /// Builds the row predicate for a concrete table: evaluated one row at
+  /// a time, looking each clause's column up by name.  The reference
+  /// semantics that bind() must match.
   [[nodiscard]] data::RowPredicate predicate() const;
+
+  /// Binds the filter to `table` for a column scan: validates it
+  /// (validateAgainst), resolves each clause's column once, and returns a
+  /// block filter that narrows a block's mask one clause at a time.  Empty
+  /// when the filter is.  The table must outlive the result and stay
+  /// unchanged while it is used.
+  [[nodiscard]] data::BlockFilter bind(const data::Table& table) const;
 
   /// Serialization (embedded in QueryDescriptor's encoding).
   void encodeTo(ByteWriter& w) const;

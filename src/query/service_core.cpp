@@ -136,9 +136,9 @@ ServiceCore::LocalScan ServiceCore::scanTable(
   const LocalParty party(*db_);
   try {
     if (descriptor.isAggregate()) {
-      scan.addends = party.localAggregate(descriptor);
+      scan.addends = party.scanAggregate(descriptor);
     } else {
-      scan.input = party.localInput(descriptor);
+      scan.input = party.scanInput(descriptor);
     }
   } catch (...) {
     scan.error = std::current_exception();
@@ -576,7 +576,8 @@ void ServiceCore::onAnnounce(const net::QueryAnnounce& announce,
   }
   // A descriptor this node cannot serve is dropped here, before it is
   // registered or forwarded; the table itself is scanned after the forward.
-  LocalParty(*db_).validateSchema(descriptor);
+  // decode has validated the descriptor itself.
+  LocalParty(*db_).checkSchema(descriptor);
 
   QueryState& state = registerQuery(descriptor, announce.parentQueryId,
                                     announce.phase, in.now);

@@ -215,9 +215,11 @@ class ServiceCore {
   [[nodiscard]] Effects onMessage(NodeId from, const net::Message& message,
                                   std::int64_t receivedAtNs, TimePoint now);
 
-  /// Scans this node's table for `descriptor` (localInput, or
-  /// localAggregate for aggregates).  Reads only the database, so a driver
-  /// may run it without serializing against the other inputs.
+  /// Scans this node's table for `descriptor` (LocalParty::scanInput, or
+  /// scanAggregate for aggregates).  The descriptor is not validated again
+  /// here: decode or validateInitiation already did.  Reads only the
+  /// database, so NodeService and ServiceSim may run it without
+  /// serializing against the other inputs.
   [[nodiscard]] LocalScan scanTable(const QueryDescriptor& descriptor) const;
 
   /// Builds the state of a query whose announce handed back `scan`; a

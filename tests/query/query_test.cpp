@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
+
 #include "common/error.hpp"
 #include "data/generator.hpp"
 #include "query/descriptor.hpp"
@@ -152,6 +155,41 @@ TEST(QueryDescriptor, MechanismValidation) {
   EXPECT_THROW((void)QueryDescriptor::decode(wire), ProtocolError);
 }
 
+TEST(QueryDescriptor, DecodeRejectsOutOfRangeKnobs) {
+  // decode leaves the knob ranges to validate() and reports a violation
+  // as a wire error; a segment count too wide for its field saturates
+  // rather than wrapping into range.
+  const Bytes base = baseDescriptor().encode();
+  ASSERT_EQ(base.back(), 0);  // the schedule mechanism id, no knob
+  const auto patched = [&base](std::uint64_t id, auto writeKnob) {
+    ByteWriter w;
+    w.writeBytes(std::span(base).first(base.size() - 1));
+    w.writeVarint(id);
+    writeKnob(w);
+    return w.take();
+  };
+  const auto segments = [](std::uint64_t s) {
+    return [s](ByteWriter& w) { w.writeVarint(s); };
+  };
+  const auto epsilon = [](double e) {
+    return [e](ByteWriter& w) { w.writeF64(e); };
+  };
+  const std::vector<Bytes> bad = {
+      patched(1, segments(1)),
+      patched(1, segments(65)),
+      patched(1, segments((std::uint64_t{1} << 32) + 4)),
+      patched(2, epsilon(0.0)),
+      patched(2, epsilon(65.0)),
+      patched(2, epsilon(std::numeric_limits<double>::quiet_NaN())),
+      patched(2, epsilon(std::numeric_limits<double>::infinity())),
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW((void)QueryDescriptor::decode(bad[i]), ProtocolError) << i;
+  }
+  const Bytes ok = patched(1, segments(64));
+  EXPECT_EQ(QueryDescriptor::decode(ok).params.mechanism.segments, 64u);
+}
+
 TEST(QueryDescriptor, MechanismsNeverShareACacheKey) {
   QueryDescriptor schedule = baseDescriptor();
   QueryDescriptor segmented = baseDescriptor();
@@ -195,15 +233,15 @@ TEST(QueryDescriptor, TypeNames) {
 TEST(LocalParty, ValidatesSchema) {
   const auto fleet = makeFleet(3, 10, 1);
   const LocalParty party(fleet[0]);
-  EXPECT_NO_THROW(party.validateSchema(baseDescriptor()));
+  EXPECT_NO_THROW(party.checkSchema(baseDescriptor()));
 
   QueryDescriptor wrongTable = baseDescriptor();
   wrongTable.tableName = "nope";
-  EXPECT_THROW(party.validateSchema(wrongTable), SchemaError);
+  EXPECT_THROW(party.checkSchema(wrongTable), SchemaError);
 
   QueryDescriptor wrongAttr = baseDescriptor();
   wrongAttr.attribute = "id";  // text column
-  EXPECT_THROW(party.validateSchema(wrongAttr), SchemaError);
+  EXPECT_THROW(party.checkSchema(wrongAttr), SchemaError);
 }
 
 TEST(LocalParty, TopInputIsLocalTopK) {
