@@ -166,8 +166,11 @@ BENCHMARK(BM_LocalTopKStep)->Arg(1)->Arg(16)->Arg(256);
 
 // One node's local scan (LocalParty::localInput / localAggregate) over a
 // 50k-row table, as bulk-inproc asks it: top-k 200 or Sum, unfiltered and
-// under each filter shape (Filter::parse syntax).  This is the per-node
-// figure behind perfbench's data.local_input_us.
+// under each filter shape (Filter::parse syntax), plus bottom-k and a
+// clause that keeps almost no rows (~5 of 50k: the ranked walk reads
+// every mask byte).  This is the per-node figure behind perfbench's
+// data.local_input_us.  The rows time the steady state: the value order
+// is built once, with the table; BM_ValueOrder times that build.
 const data::PrivateDatabase& scanTable() {
   static const data::PrivateDatabase db = [] {
     data::Table t(data::Schema({{"value", data::ColumnType::Int},
@@ -182,10 +185,24 @@ const data::PrivateDatabase& scanTable() {
     }
     data::PrivateDatabase out("bench");
     out.addTable("data", std::move(t));
+    (void)out.table("data").valueOrder("value");
     return out;
   }();
   return db;
 }
+
+// The first ranked scan's extra cost: radix-sorting a 50k-row column
+// (values in [1, 10000], two byte passes) into its value order.
+void BM_ValueOrder(benchmark::State& state, const char* column) {
+  const std::vector<Value>& values =
+      scanTable().table("data").intColumn(column);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(data::valueOrderOf(values));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK_CAPTURE(BM_ValueOrder, build_50k, "value");
 
 void BM_LocalInput(benchmark::State& state, const char* filter,
                    query::QueryType type) {
@@ -205,6 +222,10 @@ void BM_LocalInput(benchmark::State& state, const char* filter,
                           50'000);
 }
 BENCHMARK_CAPTURE(BM_LocalInput, unfiltered_topk, "", query::QueryType::TopK);
+BENCHMARK_CAPTURE(BM_LocalInput, unfiltered_bottomk, "",
+                  query::QueryType::BottomK);
+BENCHMARK_CAPTURE(BM_LocalInput, rare_eq_topk, "value==5000",
+                  query::QueryType::TopK);
 BENCHMARK_CAPTURE(BM_LocalInput, int_eq_topk, "region==3",
                   query::QueryType::TopK);
 BENCHMARK_CAPTURE(BM_LocalInput, int_le_topk, "value<=5000",

@@ -5,7 +5,11 @@
 // named integer attribute (optionally filtered by a predicate) - this is
 // the paper's initialization step where "each node first sorts its values
 // and takes the local set of topk values ... to participate in the
-// protocol".  Nothing else leaves the database object.
+// protocol".  The sort happens once per column: the table keeps the
+// column's value order (Table::valueOrder) from the first ranked scan
+// until the next appended row, and every scan walks it from the best end.
+// Scans may run concurrently; appending rows to a table while queries
+// scan it is not supported.  Nothing else leaves the database object.
 
 #pragma once
 
@@ -26,9 +30,8 @@ namespace privtopk::data {
 /// the table and a row index.
 using RowPredicate = std::function<bool(const Table&, std::size_t)>;
 
-/// Rows a column scan evaluates at a time.  One block's selection mask and
-/// its compacted values live on the stack, so a scan's memory is
-/// O(k + block) whatever the table's size.
+/// Rows a filter evaluates at a time: a block filter is called once per
+/// block of this many rows, never per row.
 inline constexpr std::size_t kScanBlockRows = 1024;
 
 /// Calls body(i) for every i < n, n <= kScanBlockRows.  A full block's
@@ -52,14 +55,16 @@ using BlockFilter =
 /// Which end of the value order a selection keeps.
 enum class Best { Largest, Smallest };
 
-/// The k best values of `column` among the rows `filter` keeps (all rows
-/// when it is empty), best first: descending for Largest, ascending for
-/// Smallest.  Duplicates are kept.  The column is never copied: the scan
-/// keeps at most k values in a heap whose top is the worst value kept, so
-/// most rows cost one comparison.
-[[nodiscard]] TopKVector selectBest(std::span<const Value> column,
-                                    std::size_t k, Best best,
-                                    const BlockFilter& filter = {});
+/// The k best values of int column `column` of `table` among the rows
+/// `filter` keeps (all rows when it is empty), best first: descending for
+/// Largest, ascending for Smallest.  Duplicates are kept.  Walks the
+/// column's value order (Table::valueOrder, sorted on the first call) from
+/// the best end: an unfiltered scan reads k rows; a filtered one runs the
+/// filter once into a row mask and stops at the k-th kept row.  Throws
+/// SchemaError unless `column` is an int column.
+[[nodiscard]] TopKVector selectBest(const Table& table,
+                                    const std::string& column, std::size_t k,
+                                    Best best, const BlockFilter& filter = {});
 
 /// Sum and count of the rows `filter` keeps.
 struct ColumnSum {
@@ -87,7 +92,8 @@ class PrivateDatabase {
   /// Local top-k: the k largest values of `attribute` in `tableName`
   /// (all values if fewer than k rows), sorted descending.  Duplicates kept
   /// (the global vector is a multiset).  `predicate`, when given, restricts
-  /// which rows participate.  Copy-free (see selectBest).
+  /// which rows participate.  Walks the column's value order (see
+  /// selectBest).
   [[nodiscard]] TopKVector localTopK(const std::string& tableName,
                                      const std::string& attribute,
                                      std::size_t k,

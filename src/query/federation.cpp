@@ -39,12 +39,11 @@ std::vector<std::int64_t> LocalParty::localAggregate(
 // column and (Filter::bind) the filter's columns.
 TopKVector LocalParty::scanInput(const QueryDescriptor& descriptor) const {
   const data::Table& table = db_->table(descriptor.tableName);
-  const std::vector<Value>& column = table.intColumn(descriptor.attribute);
   const data::BlockFilter filter = descriptor.filter.bind(table);
-  const std::size_t k = descriptor.effectiveK();
   const data::Best best =
       descriptor.isBottom() ? data::Best::Smallest : data::Best::Largest;
-  TopKVector values = data::selectBest(column, k, best, filter);
+  TopKVector values = data::selectBest(table, descriptor.attribute,
+                                       descriptor.effectiveK(), best, filter);
   const Domain& domain = descriptor.params.domain;
   for (Value v : values) {
     if (!domain.contains(v)) {

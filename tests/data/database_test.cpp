@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+
 namespace privtopk::data {
 namespace {
 
@@ -66,6 +70,63 @@ TEST(PrivateDatabase, PredicateExcludingAllRowsYieldsEmpty) {
   const RowPredicate none = [](const Table&, std::size_t) { return false; };
   EXPECT_TRUE(db.localTopK("sales", "revenue", 3, none).empty());
   EXPECT_EQ(db.localMax("sales", "revenue", none), std::nullopt);
+}
+
+/// The k largest (or smallest) of `values` by a full sort.
+TopKVector referenceBest(std::vector<Value> values, std::size_t k,
+                         bool largest) {
+  if (largest) {
+    std::sort(values.begin(), values.end(), std::greater<>());
+  } else {
+    std::sort(values.begin(), values.end());
+  }
+  values.resize(std::min(k, values.size()));
+  return values;
+}
+
+TEST(PrivateDatabase, ExtremeValuesTiesAndAppends) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  std::vector<Value> values = {-5, 7, 0, -5, 3, -5, -5, 1, -1, 7};
+  PrivateDatabase db("edge");
+  Table t(Schema({{"v", ColumnType::Int}}));
+  for (const Value v : values) t.appendRow({Cell{v}});
+  db.addTable("t", std::move(t));
+  const RowPredicate even = [](const Table&, std::size_t row) {
+    return row % 2 == 0;
+  };
+  // Each round scans, then appends: a new int64 maximum, a new int64
+  // minimum (every radix pass runs from then on), a tie, a value inside.
+  const std::vector<Value> appends = {kMax, kMin, -5, kMax - 9};
+  for (std::size_t round = 0; round <= appends.size(); ++round) {
+    std::vector<Value> evens;
+    for (std::size_t row = 0; row < values.size(); row += 2) {
+      evens.push_back(values[row]);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                                values.size(), values.size() + 4}) {
+      EXPECT_EQ(db.localTopK("t", "v", k), referenceBest(values, k, true));
+      EXPECT_EQ(db.localBottomK("t", "v", k),
+                referenceBest(values, k, false));
+      EXPECT_EQ(db.localTopK("t", "v", k, even), referenceBest(evens, k, true));
+      EXPECT_EQ(db.localBottomK("t", "v", k, even),
+                referenceBest(evens, k, false));
+    }
+    EXPECT_TRUE(db.localTopK("t", "v", 0).empty());
+    if (round == appends.size()) break;
+    db.table("t").appendRow({Cell{appends[round]}});
+    values.push_back(appends[round]);
+  }
+  EXPECT_EQ(db.localMax("t", "v"), kMax);
+  EXPECT_EQ(db.localMin("t", "v"), kMin);
+}
+
+TEST(PrivateDatabase, EmptyTableSelectsNothing) {
+  PrivateDatabase db("empty");
+  db.addTable("t", Table(Schema({{"v", ColumnType::Int}})));
+  EXPECT_TRUE(db.localTopK("t", "v", 3).empty());
+  EXPECT_TRUE(db.localBottomK("t", "v", 3).empty());
+  EXPECT_EQ(db.localMax("t", "v"), std::nullopt);
 }
 
 TEST(PrivateDatabase, UnknownAttributeThrows) {
