@@ -5,9 +5,15 @@
 // varints to keep round tokens small.  Readers validate every length
 // against the remaining buffer and throw ProtocolError on malformed input
 // so a corrupt or hostile frame can never read out of bounds.
+//
+// A writer can reserve its exact output size up front (net::encodeMessage
+// does, from net::encodedSize), so a frame is written into one allocation;
+// value vectors, the bulk of a round token, are stored and loaded eight
+// bytes at a time.
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -21,10 +27,57 @@ namespace privtopk {
 
 using Bytes = std::vector<std::uint8_t>;
 
+namespace detail {
+
+/// Stores `v` little-endian at `out` (sizeof(T) bytes).
+template <typename T>
+inline void storeLE(std::uint8_t* out, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+/// Loads a little-endian T from `in` (sizeof(T) bytes).
+template <typename T>
+[[nodiscard]] inline T loadLE(const std::uint8_t* in) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, in, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<T>(in[i]) << (8 * i));
+    }
+  }
+  return v;
+}
+
+}  // namespace detail
+
 /// Append-only binary writer.
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  /// Bytes writeVarint(v) appends.
+  [[nodiscard]] static constexpr std::size_t varintSize(std::uint64_t v) {
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+  }
+
+  /// Bytes writeValueVector appends for `count` values.
+  [[nodiscard]] static constexpr std::size_t valueVectorSize(
+      std::size_t count) {
+    return varintSize(count) + 8 * count;
+  }
+
+  /// Reserves room for `n` more bytes, so the writes that follow do not
+  /// reallocate.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
   void writeU8(std::uint8_t v) { buf_.push_back(v); }
 
@@ -69,7 +122,11 @@ class ByteWriter {
   /// Length-prefixed vector of signed values (the top-k vector payload).
   void writeValueVector(std::span<const std::int64_t> values) {
     writeVarint(values.size());
-    for (std::int64_t v : values) writeI64(v);
+    std::uint8_t* out = grow(8 * values.size());
+    for (std::int64_t v : values) {
+      detail::storeLE(out, static_cast<std::uint64_t>(v));
+      out += 8;
+    }
   }
 
   [[nodiscard]] const Bytes& bytes() const { return buf_; }
@@ -77,11 +134,16 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  /// Appends `n` bytes and returns a pointer to the first, to be written.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   template <typename T>
   void writeLE(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    detail::storeLE(grow(sizeof(T)), v);
   }
 
   Bytes buf_;
@@ -145,9 +207,13 @@ class ByteReader {
     std::uint64_t n = readVarint();
     // Each value occupies 8 bytes; reject sizes the buffer cannot hold.
     if (n > remaining() / 8) throw ProtocolError("value vector too long");
-    std::vector<std::int64_t> out;
-    out.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(readI64());
+    std::vector<std::int64_t> out(n);
+    const std::uint8_t* in = data_.data() + pos_;
+    for (std::int64_t& v : out) {
+      v = static_cast<std::int64_t>(detail::loadLE<std::uint64_t>(in));
+      in += 8;
+    }
+    pos_ += 8 * n;
     return out;
   }
 
@@ -162,10 +228,7 @@ class ByteReader {
   template <typename T>
   [[nodiscard]] T readLE() {
     need(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
+    const T v = detail::loadLE<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
   }

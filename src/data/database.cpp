@@ -17,15 +17,20 @@ std::size_t narrowBlock(const BlockFilter& filter, std::size_t begin,
   return n;
 }
 
-/// Sums the values whose mask byte is 1, without branches.
-ColumnSum maskedSum(const Value* __restrict values,
-                    const std::uint8_t* __restrict mask, std::size_t n) {
-  ColumnSum block;
+/// Adds the values whose mask byte is 1 to `sum` (mod 2^64) and their
+/// count to `rows`, without branches.
+void maskedSum(const Value* __restrict values,
+               const std::uint8_t* __restrict mask, std::size_t n,
+               std::uint64_t& sum, std::int64_t& rows) {
+  std::uint64_t blockSum = 0;
+  std::int64_t blockRows = 0;
   forEachInBlock(n, [&](std::size_t i) {
-    block.sum += values[i] & -static_cast<Value>(mask[i]);
-    block.rows += mask[i];
+    blockSum += static_cast<std::uint64_t>(values[i]) &
+                -static_cast<std::uint64_t>(mask[i]);
+    blockRows += mask[i];
   });
-  return block;
+  sum += blockSum;
+  rows += blockRows;
 }
 
 /// The values of the best k rows whose `mask` byte is set (every row when
@@ -104,20 +109,20 @@ TopKVector selectBest(const Table& table, const std::string& column,
 
 ColumnSum sumSelected(std::span<const Value> column,
                       const BlockFilter& filter) {
-  ColumnSum total;
+  std::uint64_t sum = 0;
+  std::int64_t rows = 0;
   if (!filter) {
-    for (const Value v : column) total.sum += v;
-    total.rows = static_cast<std::int64_t>(column.size());
-    return total;
+    for (const Value v : column) sum += static_cast<std::uint64_t>(v);
+    rows = static_cast<std::int64_t>(column.size());
+  } else {
+    std::uint8_t mask[kScanBlockRows];
+    for (std::size_t begin = 0; begin < column.size();
+         begin += kScanBlockRows) {
+      const std::size_t n = narrowBlock(filter, begin, column.size(), mask);
+      maskedSum(column.data() + begin, mask, n, sum, rows);
+    }
   }
-  std::uint8_t mask[kScanBlockRows];
-  for (std::size_t begin = 0; begin < column.size(); begin += kScanBlockRows) {
-    const std::size_t n = narrowBlock(filter, begin, column.size(), mask);
-    const ColumnSum block = maskedSum(column.data() + begin, mask, n);
-    total.sum += block.sum;
-    total.rows += block.rows;
-  }
-  return total;
+  return {static_cast<std::int64_t>(sum), rows};
 }
 
 void PrivateDatabase::addTable(const std::string& tableName, Table table) {

@@ -66,11 +66,8 @@ enum class Best { Largest, Smallest };
                                     const std::string& column, std::size_t k,
                                     Best best, const BlockFilter& filter = {});
 
-/// Sum and count of the rows `filter` keeps.
-struct ColumnSum {
-  std::int64_t sum = 0;
-  std::int64_t rows = 0;
-};
+/// Sum (mod 2^64) and count of the rows `filter` keeps.  Without a filter,
+/// Table::intColumnTotal answers the same without reading the column.
 [[nodiscard]] ColumnSum sumSelected(std::span<const Value> column,
                                     const BlockFilter& filter = {});
 

@@ -139,7 +139,9 @@ void Table::appendRow(const std::vector<Cell>& row) {
     switch (schema_.column(i).type) {
       case ColumnType::Int: {
         auto& column = std::get<IntColumn>(columns_[i]);
-        column.values.push_back(std::get<Value>(row[i]));
+        const Value v = std::get<Value>(row[i]);
+        column.values.push_back(v);
+        column.sum += static_cast<std::uint64_t>(v);
         column.order.reset();
         break;
       }
@@ -182,6 +184,13 @@ const std::vector<std::string>& Table::textColumn(
     const std::string& name) const {
   return std::get<std::vector<std::string>>(
       column(name, ColumnType::Text, "textColumn"));
+}
+
+ColumnSum Table::intColumnTotal(const std::string& name) const {
+  const auto& c =
+      std::get<IntColumn>(column(name, ColumnType::Int, "intColumnTotal"));
+  return {static_cast<std::int64_t>(c.sum),
+          static_cast<std::int64_t>(c.values.size())};
 }
 
 std::span<const std::uint32_t> Table::valueOrder(

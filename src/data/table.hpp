@@ -10,6 +10,9 @@
 // once per query.  It stays inside the table: nothing reads it but this
 // node's own scans.
 //
+// Each int column also keeps a running total of its values, so an
+// unfiltered Sum, Count or Average reads one number instead of the column.
+//
 // Scans may run concurrently on one table (the first ones race to build
 // an order, which is built once, under the column's lock).  Appending a
 // row while another thread scans the table is not supported.
@@ -69,6 +72,13 @@ class Schema {
   std::vector<ColumnSpec> columns_;
 };
 
+/// Sum and row count of a column's selected rows.  The sum wraps modulo
+/// 2^64 (read as two's complement), as the secure sum that carries it does.
+struct ColumnSum {
+  std::int64_t sum = 0;
+  std::int64_t rows = 0;
+};
+
 /// Row ids of `values` in ascending value order, ties in row order: an LSD
 /// radix sort on value - min with one byte pass per byte of the range
 /// (none when every value is equal).  Stable and deterministic.  Throws
@@ -77,7 +87,8 @@ class Schema {
     std::span<const Value> values);
 
 /// Columnar table.  Rows are appended; cells are stored per column.
-/// Copies and moves start with no value order built.
+/// Copies and moves start with no value order built, and carry each
+/// column's running total with its values.
 class Table {
  public:
   explicit Table(Schema schema);
@@ -96,6 +107,10 @@ class Table {
       const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& textColumn(
       const std::string& name) const;
+
+  /// The sum (mod 2^64) and count of all of the int column's rows, kept up
+  /// to date by appendRow.
+  [[nodiscard]] ColumnSum intColumnTotal(const std::string& name) const;
 
   /// The int column's value order (valueOrderOf), built on first use.  It
   /// stays valid until the next appendRow or the table's end.
@@ -134,6 +149,7 @@ class Table {
 
   struct IntColumn {
     std::vector<Value> values;
+    std::uint64_t sum = 0;  ///< of `values`, mod 2^64
     OrderSlot order;
   };
 

@@ -21,6 +21,11 @@ void writeContext(ByteWriter& w, const obs::TraceContext& ctx) {
   w.writeVarint(ctx.parentSpanId);
 }
 
+std::size_t contextSize(const obs::TraceContext& ctx) {
+  return ByteWriter::varintSize(ctx.traceId) +
+         ByteWriter::varintSize(ctx.parentSpanId);
+}
+
 obs::TraceContext readContext(ByteReader& r) {
   obs::TraceContext ctx;
   ctx.traceId = r.readVarint();
@@ -33,8 +38,36 @@ obs::TraceContext readContext(ByteReader& r) {
 
 }  // namespace
 
+std::size_t encodedSize(const Message& message) {
+  // tag + query id, then each type's body as encodeMessage writes it.
+  constexpr std::size_t kHead = 1 + 8;
+  if (const auto* token = std::get_if<RoundToken>(&message)) {
+    return kHead + 4 + ByteWriter::valueVectorSize(token->vector.size()) +
+           contextSize(token->ctx);
+  }
+  if (const auto* result = std::get_if<ResultAnnouncement>(&message)) {
+    return kHead + ByteWriter::valueVectorSize(result->result.size()) +
+           contextSize(result->ctx);
+  }
+  if (const auto* repair = std::get_if<RingRepair>(&message)) {
+    return kHead + 4 + 4 + contextSize(repair->ctx);
+  }
+  if (const auto* sum = std::get_if<SumToken>(&message)) {
+    return kHead + 4 + ByteWriter::valueVectorSize(sum->sums.size()) +
+           contextSize(sum->ctx);
+  }
+  const auto& announce = std::get<QueryAnnounce>(message);
+  return kHead + ByteWriter::varintSize(announce.descriptor.size()) +
+         announce.descriptor.size() +
+         ByteWriter::varintSize(announce.ringOrder.size()) +
+         4 * announce.ringOrder.size() + 8 + 1 +
+         (announce.phase == 1 ? ByteWriter::varintSize(announce.groups) : 0) +
+         contextSize(announce.ctx);
+}
+
 Bytes encodeMessage(const Message& message) {
   ByteWriter w;
+  w.reserve(encodedSize(message));
   if (const auto* token = std::get_if<RoundToken>(&message)) {
     w.writeU8(static_cast<std::uint8_t>(Tag::RoundToken));
     w.writeU64(token->queryId);

@@ -90,7 +90,11 @@ struct QueryAnnounce {
 using Message = std::variant<RoundToken, ResultAnnouncement, RingRepair,
                              SumToken, QueryAnnounce>;
 
-/// Serializes a message (1-byte tag + body).
+/// The exact size of encodeMessage(message), in bytes.
+[[nodiscard]] std::size_t encodedSize(const Message& message);
+
+/// Serializes a message (1-byte tag + body) into one buffer of exactly
+/// encodedSize(message) bytes.
 [[nodiscard]] Bytes encodeMessage(const Message& message);
 
 /// Parses a message; throws ProtocolError on malformed input.

@@ -80,7 +80,6 @@ Participant::Participant(ParticipantConfig config, TopKVector localTopK,
       params_(std::move(config.params)),
       trace_(config.trace),
       spanSink_(config.spanSink),
-      local_(std::move(localTopK)),
       algorithm_(std::move(algorithm)) {
   params_.validate();
   validateMechanismFor(config.kind, params_);
@@ -90,7 +89,10 @@ Participant::Participant(ParticipantConfig config, TopKVector localTopK,
   }
   mechanism_ = makeMechanism(params_.mechanism);
   rounds_ = mechanism_->roundBudget(config.kind, params_);
-  algorithm_->reset(local_);
+  // The algorithm takes the local vector; only a trace keeps a copy.
+  TopKVector traced;
+  if (trace_ != nullptr) traced = localTopK;
+  algorithm_->reset(std::move(localTopK));
   if (trace_ != nullptr) {
     trace_->nodeCount = std::max(trace_->nodeCount, ringOrder_.size());
     trace_->k = params_.k;
@@ -100,7 +102,7 @@ Participant::Participant(ParticipantConfig config, TopKVector localTopK,
     if (trace_->localVectors.size() <= slot) {
       trace_->localVectors.resize(slot + 1);
     }
-    trace_->localVectors[slot] = local_;
+    trace_->localVectors[slot] = std::move(traced);
   }
 }
 

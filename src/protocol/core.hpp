@@ -273,7 +273,6 @@ class Participant {
   std::unique_ptr<PrivacyMechanism> mechanism_;
   ExecutionTrace* trace_ = nullptr;
   obs::TraceSink* spanSink_ = nullptr;
-  TopKVector local_;
   std::unique_ptr<LocalAlgorithm> algorithm_;
   Round rounds_ = 1;
   /// The round whose ring ordering outgoing messages ride on: the round

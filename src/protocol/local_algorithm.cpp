@@ -1,43 +1,88 @@
 #include "protocol/local_algorithm.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 
 namespace privtopk::protocol {
 
-TopKVector mergeTopK(const TopKVector& incoming, const TopKVector& local,
-                     std::size_t k) {
+namespace {
+
+/// The elements of the multiset difference a - b (descending-sorted
+/// inputs), one at a time and in order: the walk multisetDifference makes,
+/// paused after each element it keeps.
+class DifferenceCursor {
+ public:
+  DifferenceCursor(std::span<const Value> a, std::span<const Value> b)
+      : a_(a), b_(b) {}
+
+  /// Sets `out` to the next element and returns true, or returns false
+  /// once a - b is exhausted.
+  bool next(Value& out) {
+    while (i_ < a_.size()) {
+      if (j_ >= b_.size() || a_[i_] > b_[j_]) {
+        out = a_[i_++];
+        return true;
+      }
+      if (a_[i_] == b_[j_]) {
+        ++i_;
+        ++j_;
+      } else {  // a[i] < b[j]: skip the b element with no counterpart
+        ++j_;
+      }
+    }
+    return false;
+  }
+
+ private:
+  std::span<const Value> a_;
+  std::span<const Value> b_;
+  std::size_t i_ = 0;
+  std::size_t j_ = 0;
+};
+
+/// mergeTopK(incoming, multisetDifference(local, exclude), k) without
+/// materialising the difference.
+TopKVector mergeDifference(const TopKVector& incoming,
+                           std::span<const Value> local,
+                           std::span<const Value> exclude, std::size_t k) {
   TopKVector merged;
   merged.reserve(k);
-  // Both inputs are sorted descending: a k-bounded two-way merge.
+  DifferenceCursor candidates(local, exclude);
+  Value candidate = 0;
+  bool more = candidates.next(candidate);
   std::size_t i = 0;
-  std::size_t j = 0;
-  while (merged.size() < k && (i < incoming.size() || j < local.size())) {
-    if (j >= local.size() ||
-        (i < incoming.size() && incoming[i] >= local[j])) {
+  while (merged.size() < k && (i < incoming.size() || more)) {
+    if (!more || (i < incoming.size() && incoming[i] >= candidate)) {
       merged.push_back(incoming[i++]);
     } else {
-      merged.push_back(local[j++]);
+      merged.push_back(candidate);
+      more = candidates.next(candidate);
     }
   }
   return merged;
 }
 
+/// multisetDifference(a, b).size(), counted without building it.
+std::size_t differenceSize(const TopKVector& a, const TopKVector& b) {
+  DifferenceCursor cursor(a, b);
+  std::size_t n = 0;
+  for (Value v = 0; cursor.next(v);) ++n;
+  return n;
+}
+
+}  // namespace
+
+TopKVector mergeTopK(const TopKVector& incoming, const TopKVector& local,
+                     std::size_t k) {
+  return mergeDifference(incoming, local, {}, k);
+}
+
 TopKVector multisetDifference(const TopKVector& a, const TopKVector& b) {
   TopKVector out;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size()) {
-    if (j >= b.size() || a[i] > b[j]) {
-      out.push_back(a[i++]);
-    } else if (a[i] == b[j]) {
-      ++i;
-      ++j;
-    } else {  // a[i] < b[j]: skip the b element with no counterpart
-      ++j;
-    }
-  }
+  DifferenceCursor cursor(a, b);
+  for (Value v = 0; cursor.next(v);) out.push_back(v);
   return out;
 }
 
@@ -131,11 +176,14 @@ TopKVector RandomizedTopKAlgorithm::step(const TopKVector& incoming, Round r) {
   // max-multiplicity union - which restores values displaced by a later
   // node's randomized tail without ever double-counting its own data
   // (DESIGN.md interpretation notes).
-  const TopKVector candidate =
-      inserted_ ? multisetDifference(local_, incoming) : local_;
-  const TopKVector real = mergeTopK(incoming, candidate, k_);
-  const TopKVector contributed = multisetDifference(real, incoming);
-  const std::size_t m = contributed.size();
+  //
+  // Neither V_i - G nor V'_i is built: the merge draws local_ - incoming
+  // (or all of local_) one value at a time, and m only counts V'_i.
+  TopKVector real = mergeDifference(
+      incoming, local_,
+      inserted_ ? std::span<const Value>(incoming) : std::span<const Value>(),
+      k_);
+  const std::size_t m = differenceSize(real, incoming);
 
   // Case 1: nothing of ours in the current top-k; pass the vector on.
   if (m == 0) {
@@ -166,21 +214,21 @@ TopKVector RandomizedTopKAlgorithm::step(const TopKVector& incoming, Round r) {
   Value lower = std::min(upper - delta_, incoming[k_ - m]);
   lower = std::max(lower, domain_.min);
 
-  TopKVector out(incoming.begin(),
-                 incoming.begin() + static_cast<std::ptrdiff_t>(k_ - m));
+  // The output reuses real's k slots: the kept head, then the tail.
+  const auto head = static_cast<std::ptrdiff_t>(k_ - m);
+  std::copy(incoming.begin(), incoming.begin() + head, real.begin());
   if (lower >= upper) {
     // Degenerate range: G'[k] is at the domain floor (possible when the
     // node's contribution still leaves domain-min padding in the vector).
     // Emit domain-min placeholders - trivially replaced later.
-    out.insert(out.end(), m, domain_.min);
+    std::fill(real.begin() + head, real.end(), domain_.min);
   } else {
-    for (std::size_t idx = 0; idx < m; ++idx) {
-      out.push_back(rng_.uniformIntHalfOpen(lower, upper));
+    for (auto it = real.begin() + head; it != real.end(); ++it) {
+      *it = rng_.uniformIntHalfOpen(lower, upper);
     }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(k_ - m), out.end(),
-              std::greater<>());
+    std::sort(real.begin() + head, real.end(), std::greater<>());
   }
-  return out;
+  return real;
 }
 
 }  // namespace privtopk::protocol

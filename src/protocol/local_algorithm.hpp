@@ -52,6 +52,7 @@ class LocalAlgorithm {
 
   /// Starts a new query with this node's local top-k vector (sorted
   /// descending, at most k values - fewer when the node has fewer rows).
+  /// The algorithm keeps the vector: a caller done with it moves it in.
   virtual void reset(TopKVector localTopK) = 0;
 
   /// Processes the incoming global vector for round `r`, returning the

@@ -64,9 +64,11 @@ std::vector<std::int64_t> LocalParty::scanAggregate(
     throw ConfigError("LocalParty::localAggregate: not an aggregate query");
   }
   const data::Table& table = db_->table(descriptor.tableName);
-  const std::vector<Value>& column = table.intColumn(descriptor.attribute);
   const data::BlockFilter filter = descriptor.filter.bind(table);
-  const data::ColumnSum total = data::sumSelected(column, filter);
+  // Unfiltered, the table's running total is the answer.
+  const data::ColumnSum total =
+      filter ? data::sumSelected(table.intColumn(descriptor.attribute), filter)
+             : table.intColumnTotal(descriptor.attribute);
   switch (descriptor.type) {
     case QueryType::Sum: return {total.sum};
     case QueryType::Count: return {total.rows};

@@ -276,7 +276,7 @@ void NodeService::perform(ServiceCore::Effects fx) {
   // should a handler ever need a lock that a sender holds.
   for (const ServiceCore::Outbound& item : fx.sends) {
     try {
-      transport_->send(self_, item.target, item.wire);
+      transport_->send(self_, item.target, *item.wire);
       if (item.ring) {
         std::scoped_lock lock(mutex_);
         core_.onSendSucceeded(item.queryId);

@@ -24,6 +24,10 @@ obs::Histogram& histogram(const char* name) {
   return obs::histogram(name, kServiceLabels, obs::defaultLatencyBucketsMs());
 }
 
+ServiceCore::Frame frameOf(const net::Message& message) {
+  return std::make_shared<const Bytes>(net::encodeMessage(message));
+}
+
 /// Messages held per grouped query until this node's own phase-1 run
 /// finishes (merge traffic at a delegate, the final result at a member);
 /// beyond this the sender's retransmission covers us.
@@ -251,7 +255,7 @@ ServiceCore::Effects ServiceCore::tick(TimePoint now) {
       it = active_.erase(it);
       continue;
     }
-    if (options_.retransmitAfter.count() > 0 && !state.lastMessage.empty() &&
+    if (options_.retransmitAfter.count() > 0 && state.lastMessage &&
         now - state.lastActivity >= options_.retransmitAfter) {
       state.lastActivity = now;
       metrics_.retransmits.inc();
@@ -265,8 +269,7 @@ ServiceCore::Effects ServiceCore::tick(TimePoint now) {
                       state.fanOut.end());
       // The successor may have missed the announce as well (it died on a
       // predecessor's link); duplicates are suppressed on arrival.
-      if (!state.announceWire.empty() &&
-          state.announceWire != state.lastMessage) {
+      if (state.announceWire && state.announceWire != state.lastMessage) {
         fx.sends.push_back(
             Outbound{it->first, state.announceWire, succ, true});
       }
@@ -281,9 +284,9 @@ ServiceCore::Effects ServiceCore::tick(TimePoint now) {
 // ---------------------------------------------------------------------------
 // Sends and ring bookkeeping.
 
-void ServiceCore::queueSend(QueryState& state, const net::Message& message,
+void ServiceCore::queueSend(QueryState& state, net::Message message,
                             TimePoint now, Effects& fx) {
-  state.lastMessage = net::encodeMessage(message);
+  state.lastMessage = frameOf(message);
   if (std::holds_alternative<net::QueryAnnounce>(message)) {
     state.announceWire = state.lastMessage;
   }
@@ -334,7 +337,7 @@ bool ServiceCore::repairAfterDeadSuccessor(QueryState& state, NodeId dead,
   const NodeId next = successorFor(state);
   fx.sends.push_back(
       Outbound{state.descriptor.queryId,
-               net::encodeMessage(net::RingRepair{
+               frameOf(net::RingRepair{
                    state.descriptor.queryId, dead, next,
                    obs::emitChildSpan(spanSink_, state.traceCtx, "repair",
                                       state.descriptor.queryId, self_, 0, t0,
@@ -437,7 +440,7 @@ void ServiceCore::beginGrouped(const QueryDescriptor& descriptor,
     remote.queryId = protocol::groupSubQueryId(parentId, g);
     remote.groupSize = 0;
     parent.fanOut.push_back(Outbound{
-        remote.queryId, net::encodeMessage(groupAnnounce(remote, g)),
+        remote.queryId, frameOf(groupAnnounce(remote, g)),
         layout.groups[g].front(), false});
   }
   fx.sends = parent.fanOut;
@@ -505,9 +508,9 @@ void ServiceCore::beginRounds(QueryState& state, TimePoint now, Effects& fx) {
               now, fx);
     return;
   }
-  const protocol::core::Actions actions =
+  protocol::core::Actions actions =
       state.participant->onStart(state.traceCtx);
-  if (actions.sendToken) queueSend(state, *actions.sendToken, now, fx);
+  if (actions.sendToken) queueSend(state, std::move(*actions.sendToken), now, fx);
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +662,7 @@ obs::TraceContext ServiceCore::forwardAnnounce(
                          announce.queryId, self_, 0, t0, in.queueNs);
   net::QueryAnnounce forwarded = announce;  // keep the announce circling
   forwarded.ctx = state.traceCtx;
-  queueSend(state, forwarded, in.now, fx);
+  queueSend(state, std::move(forwarded), in.now, fx);
   return state.traceCtx;
 }
 
@@ -692,7 +695,7 @@ void ServiceCore::onRoundToken(const net::RoundToken& token,
   // The core emits the "ring_round" span and stamps the outgoing token;
   // the state context tracks the chain for service-side spans (repair).
   if (token.ctx.active()) state.traceCtx = token.ctx;
-  const protocol::core::Actions actions =
+  protocol::core::Actions actions =
       state.participant->onToken(token.round, token.vector, token.ctx,
                                  in.queueNs);
   if (actions.duplicate) {
@@ -712,10 +715,10 @@ void ServiceCore::onRoundToken(const net::RoundToken& token,
   state.fanOut.clear();
 
   if (actions.roundClosed) metrics_.roundsExecuted.inc();
-  if (actions.sendToken) queueSend(state, *actions.sendToken, in.now, fx);
+  if (actions.sendToken) queueSend(state, std::move(*actions.sendToken), in.now, fx);
   if (actions.sendResult) {
     const TopKVector result = actions.sendResult->result;
-    queueSend(state, *actions.sendResult, in.now, fx);
+    queueSend(state, std::move(*actions.sendResult), in.now, fx);
     applyCompletion(token.queryId, result, in.now, fx);
   }
 }
@@ -789,11 +792,11 @@ void ServiceCore::onResult(const net::ResultAnnouncement& result,
     // The core emits the "result_dissemination" span and stamps the
     // forwarded announcement.
     if (result.ctx.active()) state.traceCtx = result.ctx;
-    const protocol::core::Actions actions =
+    protocol::core::Actions actions =
         state.participant->onResult(result.result, result.ctx);
     if (actions.duplicate || !actions.sendResult) return;
     // Forward once before completing.
-    queueSend(state, *actions.sendResult, in.now, fx);
+    queueSend(state, std::move(*actions.sendResult), in.now, fx);
     applyCompletion(result.queryId, state.participant->result(), in.now,
                     fx);
     return;
@@ -818,7 +821,7 @@ void ServiceCore::onResult(const net::ResultAnnouncement& result,
                          result.queryId, self_, 0, t0, in.queueNs);
   net::ResultAnnouncement forwarded = result;
   forwarded.ctx = state.traceCtx;
-  queueSend(state, forwarded, in.now, fx);
+  queueSend(state, std::move(forwarded), in.now, fx);
   applyCompletion(result.queryId, result.result, in.now, fx);
 }
 
@@ -840,7 +843,7 @@ bool ServiceCore::replayCompletedResult(std::uint64_t queryId, NodeId from,
   // ended at its completion, and a fabricated parent would dangle.
   fx.sends.push_back(Outbound{
       queryId,
-      net::encodeMessage(net::ResultAnnouncement{queryId, replay.raw, {}}),
+      frameOf(net::ResultAnnouncement{queryId, replay.raw, {}}),
       from, false});
   return true;
 }
@@ -880,8 +883,7 @@ void ServiceCore::onRingRepair(const net::RingRepair& repair, TimePoint now,
   forwarded.ctx = obs::emitChildSpan(
       spanSink_, repair.ctx.active() ? repair.ctx : state.traceCtx, "repair",
       repair.queryId, self_, 0, t0, 0);
-  fx.sends.push_back(Outbound{repair.queryId,
-                              net::encodeMessage(net::Message{forwarded}),
+  fx.sends.push_back(Outbound{repair.queryId, frameOf(forwarded),
                               successorFor(state), false});
 }
 
@@ -959,8 +961,7 @@ void ServiceCore::onPhaseDone(std::uint8_t phase, std::uint64_t parentId,
     // already retired the query answers it with the stored result
     // (replayCompletedResult), so a lost dissemination hop is recovered at
     // the retransmission deadline rather than by the stale GC.
-    parent.lastMessage =
-        net::encodeMessage(net::RoundToken{parentId, 0, {}, {}});
+    parent.lastMessage = frameOf(net::RoundToken{parentId, 0, {}, {}});
     // The merge phase runs the same rounds over the merge ring, so it is
     // expected to take this group phase's time scaled by the two rings'
     // lengths.  The first probe falls due retransmitAfter after that

@@ -104,6 +104,10 @@ class ServiceCore {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
+  /// One encoded frame, immutable and shared: a send, its retries and
+  /// the query's retransmission slots all hold the same buffer.
+  using Frame = std::shared_ptr<const Bytes>;
+
   /// A send the driver performs.  Ring sends go to the query's ring
   /// successor as of the moment they were queued; the driver reports a
   /// failed one through onSendFailed (failure accounting, ring repair).
@@ -111,7 +115,10 @@ class ServiceCore {
   /// one-shot and best-effort.
   struct Outbound {
     std::uint64_t queryId = 0;
-    Bytes wire;
+    /// Never null.  A ring send's frame is the one the query retains in
+    /// its lastMessage slot (and announceWire, for an announce); retries
+    /// and retransmits resend that buffer, never a re-encoding.
+    Frame wire;
     NodeId target = 0;
     bool ring = true;
   };
@@ -325,10 +332,11 @@ class ServiceCore {
     std::vector<Outbound> fanOut;
 
     // --- Robustness state (docs/ROBUSTNESS.md) ---
-    // Wire copies for retransmission: the announce this node circulated
-    // and the most recent protocol message it emitted.
-    Bytes announceWire;
-    Bytes lastMessage;
+    // Frames kept for retransmission: the announce this node circulated
+    // and the most recent protocol message it emitted (null until sent).
+    // Shared with the Outbound that first carried them.
+    Frame announceWire;
+    Frame lastMessage;
     // Last send or processed receive for this query; drives the
     // retransmission deadline.  A grouped member sets it past the expected
     // end of the merge phase (onPhaseDone).
@@ -436,10 +444,11 @@ class ServiceCore {
       QueryState& state, NodeId dead);
   [[nodiscard]] NodeId successorFor(const QueryState& state) const;
 
-  /// Records `message` as the query's latest outbound payload and queues
-  /// it for the current successor.
-  void queueSend(QueryState& state, const net::Message& message,
-                 TimePoint now, Effects& fx);
+  /// Encodes `message` once into the frame the query retains as its
+  /// latest outbound payload and queues that frame for the current
+  /// successor.
+  void queueSend(QueryState& state, net::Message message, TimePoint now,
+                 Effects& fx);
   /// Declares `dead` failed: repairs the ring, queues the repair notify,
   /// and aborts the query when fewer than 3 nodes remain.  Returns true
   /// when the query can continue.

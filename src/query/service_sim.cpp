@@ -113,7 +113,7 @@ void ServiceSim::send(NodeId from, const ServiceCore::Outbound& out) {
     last = at;
   }
   simulator_.scheduleAt(at, [this, from, to = out.target, wire = out.wire] {
-    deliver(from, to, wire);
+    deliver(from, to, *wire);
   });
   armTick();
 }

@@ -122,6 +122,41 @@ TEST(ByteReader, OversizedValueVectorRejected) {
   EXPECT_THROW((void)r.readValueVector(), ProtocolError);
 }
 
+TEST(ByteReader, ValueVectorFillingTheBufferExactly) {
+  // A count of exactly remaining() / 8 values is the largest one allowed.
+  ByteWriter w;
+  w.writeVarint(3);
+  for (std::int64_t v : {INT64_MIN, std::int64_t{-1}, INT64_MAX}) {
+    w.writeI64(v);
+  }
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.readValueVector(),
+            (std::vector<std::int64_t>{INT64_MIN, -1, INT64_MAX}));
+  EXPECT_TRUE(r.atEnd());
+}
+
+TEST(ByteReader, ValueVectorOneByteShortRejected) {
+  ByteWriter w;
+  w.writeVarint(3);
+  for (std::int64_t v : {1, 2, 3}) w.writeI64(v);
+  Bytes b = w.bytes();
+  b.pop_back();
+  ByteReader r(b);
+  EXPECT_THROW((void)r.readValueVector(), ProtocolError);
+}
+
+TEST(ByteReader, ValueVectorCountWhoseByteSizeWrapsRejected) {
+  // (2^61 + 1) * 8 wraps to 8 in 64 bits: a check on n * 8 would accept
+  // this count against the one value that follows it.
+  for (std::uint64_t n : {(1ull << 61) + 1, 1ull << 61, ~0ull}) {
+    ByteWriter w;
+    w.writeVarint(n);
+    w.writeI64(7);
+    ByteReader r(w.bytes());
+    EXPECT_THROW((void)r.readValueVector(), ProtocolError) << n;
+  }
+}
+
 TEST(ByteReader, VarintOverflowRejected) {
   Bytes b(11, 0xff);  // 11 continuation bytes > 64 bits
   ByteReader r(b);

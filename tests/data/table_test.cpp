@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "data/database.hpp"
 
 namespace privtopk::data {
 namespace {
@@ -136,6 +137,57 @@ TEST(ValueOrder, FollowsAppendsCopiesAndMoves) {
   EXPECT_THROW((void)t.valueOrder("nope"), SchemaError);
   Table text(salesSchema());
   EXPECT_THROW((void)text.valueOrder("id"), SchemaError);
+}
+
+// The running total equals a fresh sum of the column - the unfiltered
+// scan and the masked one - after every append, in copies and in moves,
+// and wraps modulo 2^64 as the secure sum does.
+TEST(ColumnTotal, MatchesSumSelectedAcrossAppendsCopiesAndMoves) {
+  constexpr Value kMin = std::numeric_limits<Value>::min();
+  constexpr Value kMax = std::numeric_limits<Value>::max();
+  const BlockFilter keepAll = [](std::size_t, std::size_t, std::uint8_t*) {};
+  const auto expectTotal = [&](const Table& t, std::uint64_t want) {
+    const ColumnSum total = t.intColumnTotal("v");
+    EXPECT_EQ(total.sum, static_cast<std::int64_t>(want));
+    EXPECT_EQ(total.rows, static_cast<std::int64_t>(t.rowCount()));
+    const ColumnSum plain = sumSelected(t.intColumn("v"));
+    const ColumnSum masked = sumSelected(t.intColumn("v"), keepAll);
+    EXPECT_EQ(plain.sum, total.sum);
+    EXPECT_EQ(plain.rows, total.rows);
+    EXPECT_EQ(masked.sum, total.sum);
+    EXPECT_EQ(masked.rows, total.rows);
+  };
+
+  Table t(Schema({{"v", ColumnType::Int}, {"w", ColumnType::Int}}));
+  expectTotal(t, 0);
+  std::uint64_t want = 0;
+  Rng rng(31);
+  for (int i = 0; i < 2500; ++i) {
+    const Value v = i % 500 == 0   ? kMax
+                    : i % 500 == 1 ? kMax
+                    : i % 500 == 2 ? kMin
+                    : rng.uniformInt(-1000, 1000);
+    t.appendRow({Cell{v}, Cell{Value{1}}});
+    want += static_cast<std::uint64_t>(v);
+  }
+  expectTotal(t, want);
+  EXPECT_EQ(t.intColumnTotal("w").sum, 2500);
+
+  Table copy = t;
+  copy.appendRow({Cell{kMax}, Cell{Value{1}}});
+  expectTotal(copy, want + static_cast<std::uint64_t>(kMax));
+  expectTotal(t, want);
+
+  Table moved = std::move(copy);
+  moved.appendRow({Cell{kMin}, Cell{Value{1}}});
+  expectTotal(moved, want + static_cast<std::uint64_t>(kMax) +
+                         static_cast<std::uint64_t>(kMin));
+  copy = t;
+  expectTotal(copy, want);
+
+  EXPECT_THROW((void)t.intColumnTotal("nope"), SchemaError);
+  Table mixed(salesSchema());
+  EXPECT_THROW((void)mixed.intColumnTotal("margin"), SchemaError);
 }
 
 TEST(ColumnType, Names) {

@@ -168,6 +168,7 @@ TEST(FuzzDecode, RoundTripSurvivesAdversarialVectors) {
     const Bytes once = net::encodeMessage(msg);
     const Bytes twice = net::encodeMessage(net::decodeMessage(once));
     EXPECT_EQ(once, twice);
+    EXPECT_EQ(net::encodedSize(msg), once.size());
   }
 }
 

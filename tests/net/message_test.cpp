@@ -2,8 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace privtopk::net {
 namespace {
+
+std::string hexOf(const Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
+// The wire format, byte for byte: one frame of each type, pinned as hex.
+// A codec change that moves any byte breaks every deployed peer, so these
+// strings change only with a deliberate format revision (docs/PROTOCOL.md).
+TEST(Message, GoldenBytesForEveryType) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  QueryAnnounce grouped{0x0102030405060708ull, Bytes{0xaa, 0xbb}, {4, 5, 300}};
+  grouped.parentQueryId = 99;
+  grouped.phase = 1;
+  grouped.groups = 200;
+  // Fields are split one per string piece: tag, query id, round, count,
+  // values, trace context (two varints).
+  const std::vector<std::pair<Message, std::string>> golden = {
+      {RoundToken{42, 3, {kMax, -1, kMin}},
+       "01" "2a00000000000000" "03000000" "03"
+       "ffffffffffffff7f" "ffffffffffffffff" "0000000000000080" "00" "00"},
+      {RoundToken{1, 1, {}},
+       "01" "0100000000000000" "01000000" "00" "00" "00"},
+      {ResultAnnouncement{7, {100, 50}},
+       "02" "0700000000000000" "02" "6400000000000000" "3200000000000000"
+       "00" "00"},
+      {RingRepair{9, 3, 0xfffffffeu},
+       "03" "0900000000000000" "03000000" "feffffff" "00" "00"},
+      {SumToken{11, 2, {-5, 0, 123456789}},
+       "04" "0b00000000000000" "02000000" "03"
+       "fbffffffffffffff" "0000000000000000" "15cd5b0700000000" "00" "00"},
+      // descriptor blob, ring order, parent id, phase, groups (phase 1).
+      {grouped,
+       "05" "0807060504030201" "02" "aabb" "03" "04000000" "05000000"
+       "2c010000" "6300000000000000" "01" "c801" "00" "00"},
+      {RoundToken{5, 2, {9999}, obs::TraceContext{300, 1ull << 40}},
+       "01" "0500000000000000" "02000000" "01" "0f27000000000000" "ac02"
+       "808080808020"},
+  };
+  for (const auto& [message, hex] : golden) {
+    const Bytes encoded = encodeMessage(message);
+    EXPECT_EQ(hexOf(encoded), hex);
+    EXPECT_EQ(encodedSize(message), encoded.size());
+    EXPECT_EQ(decodeMessage(encoded), message);
+  }
+}
 
 TEST(Message, RoundTokenRoundTrip) {
   const RoundToken token{42, 3, {9999, 8888, 1}};

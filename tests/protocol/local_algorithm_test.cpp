@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace privtopk::protocol {
@@ -255,6 +260,216 @@ TEST(RandomizedTopK, EquivalentToMaxWhenKIsOne) {
   maxAlgo.reset({500});
   for (Value g : {1, 400, 500, 600}) {
     EXPECT_EQ(topk.step({g}, 1), maxAlgo.step({g}, 1)) << "g = " << g;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference step: Algorithm 2 as first written, with three temporaries
+// (the candidate set, the merged vector and the contributed multiset).
+// RandomizedTopKAlgorithm::step must match it output for output and draw
+// for draw.
+// ---------------------------------------------------------------------------
+
+TopKVector referenceMerge(const TopKVector& incoming, const TopKVector& local,
+                          std::size_t k) {
+  TopKVector merged;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (merged.size() < k && (i < incoming.size() || j < local.size())) {
+    if (j >= local.size() ||
+        (i < incoming.size() && incoming[i] >= local[j])) {
+      merged.push_back(incoming[i++]);
+    } else {
+      merged.push_back(local[j++]);
+    }
+  }
+  return merged;
+}
+
+TopKVector referenceDifference(const TopKVector& a, const TopKVector& b) {
+  TopKVector out;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size()) {
+    if (j >= b.size() || a[i] > b[j]) {
+      out.push_back(a[i++]);
+    } else if (a[i] == b[j]) {
+      ++i;
+      ++j;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+class ReferenceTopK {
+ public:
+  ReferenceTopK(std::size_t k,
+                std::shared_ptr<const RandomizationSchedule> schedule, Rng rng,
+                Domain domain, Value delta)
+      : k_(k), schedule_(std::move(schedule)), rng_(rng), domain_(domain),
+        delta_(delta) {}
+
+  void reset(TopKVector localTopK) {
+    if (localTopK.size() > k_) throw ConfigError("larger than k");
+    if (!std::is_sorted(localTopK.begin(), localTopK.end(),
+                        std::greater<>())) {
+      throw ConfigError("not sorted");
+    }
+    for (Value v : localTopK) {
+      if (!domain_.contains(v)) throw ConfigError("outside domain");
+    }
+    local_ = std::move(localTopK);
+    inserted_ = false;
+  }
+
+  TopKVector step(const TopKVector& incoming, Round r) {
+    if (incoming.size() != k_) throw ProtocolError("expected a k-vector");
+    const TopKVector candidate =
+        inserted_ ? referenceDifference(local_, incoming) : local_;
+    const TopKVector real = referenceMerge(incoming, candidate, k_);
+    const TopKVector contributed = referenceDifference(real, incoming);
+    const std::size_t m = contributed.size();
+    if (m == 0) {
+      ++counts.passthrough;
+      return incoming;
+    }
+    if (inserted_) {
+      ++counts.real;
+      return real;
+    }
+    if (!rng_.bernoulli(schedule_->probability(r))) {
+      inserted_ = true;
+      ++counts.real;
+      return real;
+    }
+    ++counts.randomized;
+    const Value upper = real[k_ - 1];
+    Value lower = std::min(upper - delta_, incoming[k_ - m]);
+    lower = std::max(lower, domain_.min);
+    TopKVector out(incoming.begin(),
+                   incoming.begin() + static_cast<std::ptrdiff_t>(k_ - m));
+    if (lower >= upper) {
+      out.insert(out.end(), m, domain_.min);
+    } else {
+      for (std::size_t idx = 0; idx < m; ++idx) {
+        out.push_back(rng_.uniformIntHalfOpen(lower, upper));
+      }
+      std::sort(out.begin() + static_cast<std::ptrdiff_t>(k_ - m), out.end(),
+                std::greater<>());
+    }
+    return out;
+  }
+
+  [[nodiscard]] bool hasInserted() const { return inserted_; }
+
+  LocalAlgorithm::PassCounts counts;
+
+ private:
+  std::size_t k_;
+  std::shared_ptr<const RandomizationSchedule> schedule_;
+  Rng rng_;
+  Domain domain_;
+  Value delta_;
+  TopKVector local_;
+  bool inserted_ = false;
+};
+
+/// `n` values drawn from `pool`, from [domain.min, top] and from the
+/// domain floor (padding), sorted descending: heavy ties by design.
+TopKVector tiedVector(Rng& gen, std::size_t n, const TopKVector& pool,
+                      Domain domain, Value top) {
+  TopKVector out(n);
+  for (Value& v : out) {
+    const std::size_t pick = gen.index(4);
+    if (pick == 0 && !pool.empty()) {
+      v = pool[gen.index(pool.size())];
+    } else if (pick == 1) {
+      v = domain.min;
+    } else {
+      v = gen.uniformInt(domain.min, top);
+    }
+  }
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return out;
+}
+
+TEST(RandomizedTopK, MatchesReferenceStep) {
+  const std::vector<std::shared_ptr<const RandomizationSchedule>> schedules = {
+      never(), std::make_shared<ExponentialSchedule>(0.5, 1.0), always()};
+  const std::vector<Value> domainTops = {2, 4, 50, 10000};
+  Rng gen(2024);
+  for (std::uint64_t c = 0; c < 1200; ++c) {
+    const std::size_t k = c % 5 == 0 ? 1 + gen.index(300) : 1 + gen.index(12);
+    const Domain domain{1, domainTops[gen.index(domainTops.size())]};
+    const auto& schedule = schedules[c % schedules.size()];
+    const Value delta = gen.index(2) == 0 ? 1 : 5;
+    SCOPED_TRACE("case " + std::to_string(c) + ", k " + std::to_string(k));
+
+    RandomizedTopKAlgorithm algo(k, schedule, Rng(c), domain, delta);
+    ReferenceTopK ref(k, schedule, Rng(c), domain, delta);
+    const TopKVector local =
+        tiedVector(gen, gen.index(k + 1), {}, domain, domain.max);
+    algo.reset(local);
+    ref.reset(local);
+
+    // Incoming vectors tie with the local values, carry domain-min padding
+    // and sometimes lie wholly below them; later steps reuse the previous
+    // output, as a ring does, so both sides of insertion are exercised.
+    TopKVector previous;
+    for (Round r = 1; r <= 8; ++r) {
+      TopKVector incoming;
+      if (!previous.empty() && gen.index(2) == 0) {
+        incoming = previous;
+        const std::size_t tail = gen.index(k + 1);
+        for (std::size_t i = k - tail; i < k; ++i) incoming[i] = domain.min;
+      } else {
+        const Value top =
+            gen.index(3) == 0 ? domain.min + (domain.max - domain.min) / 2
+                              : domain.max;
+        incoming = tiedVector(gen, k, local, domain, top);
+      }
+      // A hostile predecessor may send an unsorted vector: the step must
+      // still match the reference on it.
+      if (gen.index(8) == 0) gen.shuffle(incoming);
+      const TopKVector got = algo.step(incoming, r);
+      ASSERT_EQ(got, ref.step(incoming, r)) << "round " << r;
+      ASSERT_EQ(algo.hasInserted(), ref.hasInserted()) << "round " << r;
+      previous = got;
+    }
+    EXPECT_EQ(algo.passCounts().randomized, ref.counts.randomized);
+    EXPECT_EQ(algo.passCounts().real, ref.counts.real);
+    EXPECT_EQ(algo.passCounts().passthrough, ref.counts.passthrough);
+
+    // The next draw: a step every value of which is ours and random (for
+    // a randomizing schedule) reads the generator k times past here.
+    const TopKVector top(k, domain.max);
+    algo.reset(top);
+    ref.reset(top);
+    const TopKVector floor(k, domain.min);
+    EXPECT_EQ(algo.step(floor, 1), ref.step(floor, 1));
+  }
+
+  // reset rejects exactly what the reference rejects.
+  const std::vector<TopKVector> inputs = {
+      {}, {5}, {5, 3, 1}, {5, 5, 5}, {1, 2, 3}, {5, 3, 4},
+      {10000, 1, 1}, {10001, 5, 1}, {5, 3, 0}, {1, 1, 1, 1}, {-1},
+  };
+  for (const TopKVector& input : inputs) {
+    RandomizedTopKAlgorithm algo(3, paperDefault(), Rng(1), kDomain);
+    ReferenceTopK ref(3, paperDefault(), Rng(1), kDomain, 1);
+    bool refThrew = false;
+    try {
+      ref.reset(input);
+    } catch (const ConfigError&) {
+      refThrew = true;
+    }
+    if (refThrew) {
+      EXPECT_THROW(algo.reset(input), ConfigError) << input.size();
+    } else {
+      EXPECT_NO_THROW(algo.reset(input)) << input.size();
+    }
   }
 }
 

@@ -334,6 +334,66 @@ TEST(ServiceCore, AnnounceWithPerRoundRemapIsDropped) {
   }
 }
 
+// A query's frames are encoded once: the retransmit of a stalled query and
+// the retry of a failed send after ring repair carry the very buffers the
+// core first queued, and the announce goes out again only when it is not
+// itself the last message.
+TEST(ServiceCore, RetransmitAndRetrySendTheRetainedFrame) {
+  const LogLevel savedLevel = logLevel();
+  setLogLevel(LogLevel::Error);
+  const auto dbs = data::fleetFromValues({{40, 7}, {30}, {20}, {10}});
+  ServiceOptions options;
+  options.retransmitAfter = std::chrono::milliseconds(100);
+  options.deadAfterFailures = 1;
+  const ServiceCore::TimePoint t0{};
+  const ServiceCore::TimePoint stalled = t0 + options.retransmitAfter;
+  const QueryDescriptor d = topK(5, 2);
+
+  // The initiator queues the announce, then the first round token.
+  ServiceCore head(0, dbs[0], 7, options, nullptr);
+  const ServiceCore::Effects started =
+      head.initiate(d, identityRing(4), head.scanTable(d), t0);
+  ASSERT_EQ(started.sends.size(), 2u);
+  const ServiceCore::Outbound announce = started.sends[0];
+  const ServiceCore::Outbound token = started.sends[1];
+  ASSERT_TRUE(std::holds_alternative<net::QueryAnnounce>(
+      net::decodeMessage(*announce.wire)));
+  ASSERT_TRUE(std::holds_alternative<net::RoundToken>(
+      net::decodeMessage(*token.wire)));
+  const Bytes announceBytes = *announce.wire;
+  const Bytes tokenBytes = *token.wire;
+
+  // Stalled: both frames go out again, as the same buffers.
+  const ServiceCore::Effects resent = head.tick(stalled);
+  ASSERT_EQ(resent.sends.size(), 2u);
+  EXPECT_EQ(resent.sends[0].wire, announce.wire);
+  EXPECT_EQ(resent.sends[1].wire, token.wire);
+  EXPECT_EQ(resent.sends[1].target, 1u);
+
+  // The token's send fails: node 1 is cut out and the retry carries the
+  // same frame to node 2, ahead of the repair notify.
+  const ServiceCore::Effects retried = head.onSendFailed(token);
+  ASSERT_GE(retried.sends.size(), 2u);
+  EXPECT_EQ(retried.sends[0].wire, token.wire);
+  EXPECT_EQ(retried.sends[0].target, 2u);
+  EXPECT_TRUE(std::holds_alternative<net::RingRepair>(
+      net::decodeMessage(*retried.sends[1].wire)));
+  EXPECT_EQ(*announce.wire, announceBytes);
+  EXPECT_EQ(*token.wire, tokenBytes);
+
+  // A follower that has only forwarded the announce retransmits it once:
+  // it is both the announce and the last message.
+  ServiceCore follower(2, dbs[2], 9, options, nullptr);
+  const ServiceCore::Effects joined =
+      follower.onMessage(1, net::decodeMessage(announceBytes), 0, t0);
+  ASSERT_EQ(joined.sends.size(), 1u);
+  const ServiceCore::Effects again = follower.tick(stalled);
+  ASSERT_EQ(again.sends.size(), 1u);
+  EXPECT_EQ(again.sends[0].wire, joined.sends[0].wire);
+  EXPECT_EQ(*again.sends[0].wire, *joined.sends[0].wire);
+  setLogLevel(savedLevel);
+}
+
 // ---------------------------------------------------------------------------
 // Grouped execution (§4.2) in virtual time.
 
