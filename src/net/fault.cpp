@@ -255,6 +255,17 @@ std::optional<Envelope> FaultInjectingTransport::receive(
   return inner_->receive(node, timeout);
 }
 
+void FaultInjectingTransport::subscribe(NodeId node, DeliveryHandler handler) {
+  inner_->subscribe(node, [state = state_, node, h = std::move(handler)](
+                              Envelope&& env) {
+    if (!state->isCrashed(node)) h(std::move(env));
+  });
+}
+
+void FaultInjectingTransport::unsubscribe(NodeId node) {
+  inner_->unsubscribe(node);
+}
+
 void FaultInjectingTransport::shutdown() { inner_->shutdown(); }
 
 }  // namespace privtopk::net

@@ -8,6 +8,10 @@
 // wraps its own transport around a SHARED FaultState — that way a crash
 // scheduled for node X makes X's own sends/receives fail AND makes every
 // other node's sends to X fail, exactly like a real process death.
+//
+// Delivery: subscribe() forwards to the inner transport, so a fault fleet
+// takes the same push path as a production one; the handler it installs
+// drops every envelope that reaches a crashed node.
 
 #pragma once
 
@@ -112,6 +116,10 @@ class FaultInjectingTransport final : public Transport {
   [[nodiscard]] std::optional<Envelope> receive(
       NodeId node, std::chrono::milliseconds timeout) override;
   void shutdown() override;
+  /// Subscribes on the inner transport; envelopes that reach `node` while
+  /// it is crashed are lost, as a dead process loses its socket buffers.
+  void subscribe(NodeId node, DeliveryHandler handler) override;
+  void unsubscribe(NodeId node) override;
 
   /// Programmatic fail-stop / restart, for tests that crash a node at a
   /// precise protocol point rather than a message count.

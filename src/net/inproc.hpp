@@ -1,24 +1,22 @@
-// In-process transport: per-node FIFO mailboxes guarded by one mutex, each
-// with its own condition variable so a send wakes only the addressee's
-// receiver.  Delivery is instantaneous and ordered per sender.
-// A subscribed node skips the mailbox: send() calls its handler on the
-// sending thread, after releasing the mailbox mutex, so a message reaches
-// the addressee with no thread hand-off at all.  Handler calls for one
-// node are serialized, and a sender's next send starts only after its
+// In-process transport: one Inbox per node (net/inbox.hpp).  send() takes
+// only the addressee's inbox locks, so sends to different nodes never
+// contend.  Delivery is instantaneous and ordered per sender.
+// A subscribed node's handler runs on the sending thread, so a message
+// reaches the addressee with no thread hand-off at all; the inbox
+// serializes handler calls, and a sender's next send starts only after its
 // previous handler call returned, which keeps per-link FIFO order.
-// An optional per-mailbox depth cap turns a send to a saturated node into
+// An optional per-inbox depth cap turns a send to a saturated node into
 // OverloadError, matching the TCP transport's write-queue backpressure so
 // the transport-conformance suite can exercise both the same way.
 
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <deque>
-#include <mutex>
-#include <vector>
 
 #include "common/error.hpp"
+#include "net/inbox.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 
@@ -26,8 +24,8 @@ namespace privtopk::net {
 
 class InProcTransport final : public Transport {
  public:
-  /// Creates mailboxes for nodes 0..nodeCount-1.  `maxQueueDepth` bounds
-  /// each mailbox (0 = unbounded); a send to a full mailbox throws
+  /// Creates inboxes for nodes 0..nodeCount-1.  `maxQueueDepth` bounds
+  /// each inbox's queue (0 = unbounded); a send to a full queue throws
   /// OverloadError without enqueueing.
   explicit InProcTransport(std::size_t nodeCount,
                            std::size_t maxQueueDepth = 0);
@@ -35,54 +33,38 @@ class InProcTransport final : public Transport {
   void send(NodeId from, NodeId to, const Bytes& payload) override;
 
   [[nodiscard]] std::optional<Envelope> receive(
-      NodeId node, std::chrono::milliseconds timeout) override;
+      NodeId node, std::chrono::milliseconds timeout) override {
+    return inboxOf(node).receive(timeout);
+  }
 
   void shutdown() override;
 
   /// Native push: send() calls the handler on the sender's thread.
-  void subscribe(NodeId node, DeliveryHandler handler) override;
-  void unsubscribe(NodeId node) override;
+  void subscribe(NodeId node, DeliveryHandler handler) override {
+    inboxOf(node).subscribe(std::move(handler));
+  }
+  void unsubscribe(NodeId node) override { inboxOf(node).unsubscribe(); }
 
   /// Messages ever sent (all nodes) - convenient for cost accounting.
-  [[nodiscard]] std::size_t messagesSent() const;
+  [[nodiscard]] std::size_t messagesSent() const {
+    return messagesSent_.load();
+  }
   /// Payload bytes ever sent.
-  [[nodiscard]] std::size_t bytesSent() const;
+  [[nodiscard]] std::size_t bytesSent() const { return bytesSent_.load(); }
 
  private:
-  struct Mailbox {
-    std::deque<Envelope> queue;  // guarded by mutex_
-    std::condition_variable cv;
-    /// A handler is installed: send() delivers through it instead of the
-    /// queue.  Guarded by mutex_.
-    bool pushing = false;
-    /// Held across every handler call, so calls for one node never
-    /// overlap and unsubscribe() can wait out a running one.
-    std::mutex deliverMutex;
-    DeliveryHandler handler;  // guarded by deliverMutex
-  };
+  /// Throws TransportError for a node outside 0..nodeCount-1.
+  [[nodiscard]] Inbox& inboxOf(NodeId node);
 
-  [[nodiscard]] Mailbox& mailboxOf(NodeId node);
-  /// Hands `env` to the addressee's handler, or queues it when the node
-  /// was unsubscribed since send() looked.
-  void push(Mailbox& box, Envelope&& env);
-  /// Counts one envelope handed to a consumer.
-  void countReceived(const Envelope& env);
-
-  mutable std::mutex mutex_;
-  std::vector<Mailbox> mailboxes_;
-  std::size_t maxQueueDepth_ = 0;
-  bool shutdown_ = false;
-  std::size_t messagesSent_ = 0;
-  std::size_t bytesSent_ = 0;
+  std::deque<Inbox> inboxes_;  // fixed after construction
+  std::atomic<bool> shutdown_{false};
+  std::atomic<std::size_t> messagesSent_{0};
+  std::atomic<std::size_t> bytesSent_{0};
 
   // Cached global-metric cells (registration is cold; inc is lock-free).
   obs::Counter& metricMessagesSent_;
   obs::Counter& metricBytesSent_;
-  obs::Counter& metricMessagesReceived_;
-  obs::Counter& metricBytesReceived_;
   obs::Counter& metricSendErrors_;
-  obs::Counter& metricReceiveTimeouts_;
-  obs::Gauge& metricQueueDepth_;
 };
 
 }  // namespace privtopk::net

@@ -101,19 +101,13 @@ bool TcpTransport::FrameReader::pump(
 
 TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeer> peers,
                            TcpOptions options)
-    : self_(self), options_(options),
+    : self_(self), options_(options), inbox_(self, kTcpLabels),
       metricMessagesSent_(
           obs::counter("privtopk.transport.messages_sent", kTcpLabels)),
       metricBytesSent_(
           obs::counter("privtopk.transport.bytes_sent", kTcpLabels)),
-      metricMessagesReceived_(
-          obs::counter("privtopk.transport.messages_received", kTcpLabels)),
-      metricBytesReceived_(
-          obs::counter("privtopk.transport.bytes_received", kTcpLabels)),
       metricSendErrors_(
           obs::counter("privtopk.transport.send_errors", kTcpLabels)),
-      metricReceiveTimeouts_(
-          obs::counter("privtopk.transport.receive_timeouts", kTcpLabels)),
       metricLinksEvicted_(
           obs::counter("privtopk.transport.links_evicted", kTcpLabels)),
       metricReconnects_(
@@ -128,8 +122,6 @@ TcpTransport::TcpTransport(NodeId self, std::vector<TcpPeer> peers,
           obs::counter("privtopk.transport.frames_coalesced", kTcpLabels)),
       metricInlineWrites_(
           obs::counter("privtopk.transport.inline_writes", kTcpLabels)),
-      metricQueueDepth_(
-          obs::gauge("privtopk.transport.queue_depth", kTcpLabels)),
       metricWriteQueueDepth_(
           obs::gauge("privtopk.transport.write_queue_depth", kTcpLabels)) {
   for (const auto& p : peers) peers_[p.id] = p;
@@ -198,18 +190,7 @@ void TcpTransport::shutdown() {
   if (droppedQueued > 0) {
     metricWriteQueueDepth_.sub(static_cast<std::int64_t>(droppedQueued));
   }
-
-  {
-    // Undelivered envelopes are discarded here, and the shared queue-depth
-    // gauge gives their contribution back: restarting a transport in the
-    // same process must not leave the gauge drifting upward forever.
-    std::scoped_lock lock(inboxMutex_);
-    if (!inbox_.empty()) {
-      metricQueueDepth_.sub(static_cast<std::int64_t>(inbox_.size()));
-      inbox_.clear();
-    }
-  }
-  inboxCv_.notify_all();
+  inbox_.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -414,43 +395,26 @@ void TcpTransport::closeInConn(InConn* conn) {
 void TcpTransport::deliver(NodeId from, Bytes&& payload) {
   messagesReceived_.fetch_add(1);
   bytesReceived_.fetch_add(payload.size());
-  metricMessagesReceived_.inc();
-  metricBytesReceived_.inc(payload.size());
-  {
-    std::scoped_lock deliver(deliverMutex_);
-    if (handler_) {
-      handler_(Envelope{from, self_, std::move(payload)});
-      return;
-    }
-    std::scoped_lock lock(inboxMutex_);
-    inbox_.push_back(Envelope{from, self_, std::move(payload)});
-    metricQueueDepth_.add(1);
+  inbox_.deliver(Envelope{from, self_, std::move(payload)});
+}
+
+std::optional<Envelope> TcpTransport::receive(
+    NodeId node, std::chrono::milliseconds timeout) {
+  if (node != self_) {
+    throw TransportError("TcpTransport: can only receive as self");
   }
-  inboxCv_.notify_all();
+  return inbox_.receive(timeout);
 }
 
 void TcpTransport::subscribe(NodeId node, DeliveryHandler handler) {
   if (node != self_) {
     throw TransportError("TcpTransport: can only subscribe as self");
   }
-  std::scoped_lock deliver(deliverMutex_);
-  if (handler_) throw TransportError("TcpTransport: already subscribed");
-  // The reactor cannot deliver while we hold deliverMutex_, so the backlog
-  // reaches the handler ahead of every later frame.
-  std::deque<Envelope> backlog;
-  {
-    std::scoped_lock lock(inboxMutex_);
-    backlog.swap(inbox_);
-    metricQueueDepth_.sub(static_cast<std::int64_t>(backlog.size()));
-  }
-  for (Envelope& env : backlog) handler(std::move(env));
-  handler_ = std::move(handler);
+  inbox_.subscribe(std::move(handler));
 }
 
 void TcpTransport::unsubscribe(NodeId node) {
-  if (node != self_) return;
-  std::scoped_lock deliver(deliverMutex_);
-  handler_ = nullptr;
+  if (node == self_) inbox_.unsubscribe();
 }
 
 // ---------------------------------------------------------------------------
@@ -950,30 +914,6 @@ void TcpTransport::failLink(OutLink* link, const std::string& reason) {
                                 " queued frames)"
                           : "");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Receive
-// ---------------------------------------------------------------------------
-
-std::optional<Envelope> TcpTransport::receive(
-    NodeId node, std::chrono::milliseconds timeout) {
-  if (node != self_) {
-    throw TransportError("TcpTransport: can only receive as self");
-  }
-  std::unique_lock lock(inboxMutex_);
-  const bool ready = inboxCv_.wait_for(lock, timeout, [&] {
-    return shutdown_.load() || !inbox_.empty();
-  });
-  if (!ready || inbox_.empty()) {
-    // A shutdown wakeup is not a timeout; only count real deadline misses.
-    if (!shutdown_.load()) metricReceiveTimeouts_.inc();
-    return std::nullopt;
-  }
-  Envelope env = std::move(inbox_.front());
-  inbox_.pop_front();
-  metricQueueDepth_.sub(1);
-  return env;
 }
 
 }  // namespace privtopk::net

@@ -22,10 +22,10 @@
 // is not a link failure: send() throws OverloadError (the peer is alive
 // but slow - back off and retry) and the link keeps draining.
 //
-// Delivery: with a subscriber (subscribe()), the reactor thread hands each
-// inbound frame straight to the handler, in arrival order - the one
-// thread between the socket and the consumer.  Without one, frames queue
-// in the inbox for receive().
+// Delivery: the reactor thread hands each inbound frame, in arrival
+// order, to the node's Inbox (net/inbox.hpp), which calls the subscribed
+// handler right there - the one thread between the socket and the
+// consumer - or, without a subscriber, queues the frame for receive().
 //
 // Inbound trust: the 4-byte hello naming the dialing node is checked
 // against the address book; connections claiming an unknown NodeId are
@@ -35,7 +35,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -47,6 +46,7 @@
 
 #include "crypto/dh.hpp"
 #include "crypto/secure_channel.hpp"
+#include "net/inbox.hpp"
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
@@ -270,16 +270,7 @@ class TcpTransport final : public Transport {
   std::map<NodeId, std::unique_ptr<OutLink>> outLinks_;  // fixed after ctor
   std::unordered_map<int, std::unique_ptr<InConn>> inConns_;  // loop only
 
-  /// Held by the reactor across each delivery (handler call or inbox
-  /// push), so subscribe() can hand the inbox backlog over without a new
-  /// frame overtaking it and unsubscribe() can wait out a running call.
-  /// Lock order: deliverMutex_ before inboxMutex_.
-  std::mutex deliverMutex_;
-  DeliveryHandler handler_;  // guarded by deliverMutex_
-
-  std::mutex inboxMutex_;
-  std::condition_variable inboxCv_;
-  std::deque<Envelope> inbox_;  // guarded by inboxMutex_
+  Inbox inbox_;
 
   std::atomic<std::size_t> messagesSent_{0};
   std::atomic<std::size_t> messagesReceived_{0};
@@ -292,10 +283,7 @@ class TcpTransport final : public Transport {
   // Cached global-metric cells (registration is cold; inc is lock-free).
   obs::Counter& metricMessagesSent_;
   obs::Counter& metricBytesSent_;
-  obs::Counter& metricMessagesReceived_;
-  obs::Counter& metricBytesReceived_;
   obs::Counter& metricSendErrors_;
-  obs::Counter& metricReceiveTimeouts_;
   obs::Counter& metricLinksEvicted_;
   obs::Counter& metricReconnects_;
   obs::Counter& metricHandshakeRejected_;
@@ -303,7 +291,6 @@ class TcpTransport final : public Transport {
   obs::Counter& metricOverloadRejected_;
   obs::Counter& metricFramesCoalesced_;
   obs::Counter& metricInlineWrites_;
-  obs::Gauge& metricQueueDepth_;
   obs::Gauge& metricWriteQueueDepth_;
 
   std::atomic<bool> shutdown_{false};

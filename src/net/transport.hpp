@@ -8,12 +8,13 @@
 //
 // A consumer either polls receive() or subscribes a delivery handler that
 // the transport calls with each envelope (NodeService subscribes).  Both
-// base transports push natively - TcpTransport on its reactor thread,
-// InProcTransport on the sending thread - so an inbound message reaches
-// the consumer with no thread of its own in between.  Decorators that
-// only implement receive() (fault injection) inherit the default
-// subscribe(): one pump thread per subscribed node that polls
-// receive() and calls the handler.
+// base transports deliver through one net::Inbox per node, which pushes
+// natively - TcpTransport on its reactor thread, InProcTransport on the
+// sending thread - so an inbound message reaches the consumer with no
+// thread of its own in between.  The fault-injection decorator forwards
+// subscribe() to the transport it wraps.  Only a decorator that
+// implements receive() alone inherits the default subscribe(): one pump
+// thread per subscribed node that polls receive() and calls the handler.
 
 #pragma once
 

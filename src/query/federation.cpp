@@ -80,11 +80,14 @@ std::vector<std::int64_t> LocalParty::scanAggregate(
 TopKVector presentResult(const QueryDescriptor& descriptor,
                          TopKVector protocolResult) {
   if (!descriptor.isBottom()) return protocolResult;
-  const Domain& domain = descriptor.params.domain;
-  for (Value& v : protocolResult) v = mirror(domain, v);
   // Descending mirrored values become ascending originals - already the
   // natural order for bottom-k.
-  return protocolResult;
+  return mirrorValues(descriptor.params.domain, std::move(protocolResult));
+}
+
+TopKVector mirrorValues(const Domain& domain, TopKVector values) {
+  for (Value& v : values) v = mirror(domain, v);
+  return values;
 }
 
 Federation::Federation(const std::vector<data::PrivateDatabase>& parties)

@@ -69,6 +69,11 @@ class LocalParty {
 [[nodiscard]] TopKVector presentResult(const QueryDescriptor& descriptor,
                                        TopKVector protocolResult);
 
+/// Mirrors every value within `domain`: bottom-k queries run the protocol
+/// on mirrored values, and mirroring twice is the identity.
+[[nodiscard]] TopKVector mirrorValues(const Domain& domain,
+                                      TopKVector values);
+
 /// In-process federation over a set of databases.
 class Federation {
  public:

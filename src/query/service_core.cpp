@@ -717,9 +717,9 @@ void ServiceCore::onRoundToken(const net::RoundToken& token,
   if (actions.roundClosed) metrics_.roundsExecuted.inc();
   if (actions.sendToken) queueSend(state, std::move(*actions.sendToken), in.now, fx);
   if (actions.sendResult) {
-    const TopKVector result = actions.sendResult->result;
+    TopKVector result = actions.sendResult->result;
     queueSend(state, std::move(*actions.sendResult), in.now, fx);
-    applyCompletion(token.queryId, result, in.now, fx);
+    applyCompletion(token.queryId, std::move(result), in.now, fx);
   }
 }
 
@@ -1037,10 +1037,15 @@ void ServiceCore::applyCompletion(std::uint64_t queryId, TopKVector raw,
     spanSink_->recordSpan(span);
   }
 
-  Retained retained{presentResult(state.descriptor, raw), raw, ringOf(state),
-                    std::nullopt};
+  fx.retired.push_back(
+      Retirement{queryId, presentResult(state.descriptor, raw), std::string{}});
+  // Only a phase hand-off still reads `raw` below; otherwise it moves.
+  Retained retained{phase == 0 ? std::move(raw) : TopKVector(raw),
+                    std::nullopt, ringOf(state), std::nullopt};
+  if (state.descriptor.isBottom()) {
+    retained.mirroredIn = state.descriptor.params.domain;
+  }
   if (state.trace != nullptr) retained.trace = std::move(*state.trace);
-  fx.retired.push_back(Retirement{queryId, retained.result, std::string{}});
   if (completed_.insert_or_assign(queryId, std::move(retained)).second) {
     completedOrder_.push_back(queryId);
   }
@@ -1070,7 +1075,9 @@ bool ServiceCore::knows(std::uint64_t queryId) const {
 std::optional<TopKVector> ServiceCore::resultOf(std::uint64_t queryId) const {
   const auto it = completed_.find(queryId);
   if (it == completed_.end()) return std::nullopt;
-  return it->second.result;
+  const Retained& retained = it->second;
+  if (!retained.mirroredIn) return retained.raw;
+  return mirrorValues(*retained.mirroredIn, retained.raw);
 }
 
 std::optional<protocol::ExecutionTrace> ServiceCore::traceOf(
@@ -1125,7 +1132,7 @@ std::string ServiceCore::queriesJson(TimePoint now) const {
     os << "{\"query_id\":" << queryId;
     const auto it = completed_.find(queryId);
     if (it != completed_.end()) {
-      os << ",\"result_size\":" << it->second.result.size();
+      os << ",\"result_size\":" << it->second.raw.size();
     }
     os << '}';
   }

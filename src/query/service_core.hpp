@@ -351,12 +351,15 @@ class ServiceCore {
     bool aborted = false;
   };
 
-  /// A retired query's presented result and trace, and - to answer a ring
-  /// member whose ResultAnnouncement hop was lost (replayCompletedResult)
-  /// - its raw (protocol-space) result and the ring it ran on.
+  /// A retired query's result and trace, and - to answer a ring member
+  /// whose ResultAnnouncement hop was lost (replayCompletedResult) - the
+  /// ring it ran on.
   struct Retained {
-    TopKVector result;
+    /// The raw (protocol-space) result, which a replay resends.
     TopKVector raw;
+    /// Set for a bottom-k query: its presented result is `raw` mirrored
+    /// within this domain.
+    std::optional<Domain> mirroredIn;
     std::vector<NodeId> ring;
     std::optional<protocol::ExecutionTrace> trace;
   };

@@ -1,15 +1,17 @@
 // Transport conformance suite: the behavioural contract NodeService
-// depends on, run against both base transports (in-process mailboxes and
-// the epoll TCP reactor) AND the fault-injection decorator so the fast
-// tests, the socket tests and the wrapper cannot drift apart:
+// depends on, run against both base transports (in-process inboxes and
+// the epoll TCP reactor), the fault-injection decorator and a poll-only
+// decorator, so the fast tests, the socket tests and the wrappers cannot
+// drift apart:
 //   - per-link FIFO ordering under load,
 //   - saturation surfaces OverloadError (backpressure) and the link
 //     recovers once drained,
 //   - shutdown concurrent with a sending thread is clean (no hang, no
-//     crash; post-shutdown sends throw TransportError).
-// The push-delivery suite (subscribe/unsubscribe) runs over both base
-// transports, which push natively, and the fault decorator, which goes
-// through Transport's default polling pump.
+//     crash; post-shutdown sends throw TransportError),
+//   - a shutdown wakeup is not counted as a receive timeout.
+// The push-delivery suite (subscribe/unsubscribe) runs over the same four:
+// the base transports and the fault decorator push through net::Inbox,
+// and the poll-only decorator goes through Transport's default pump.
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,25 @@ std::vector<std::uint16_t> reservePorts(std::size_t count) {
   return ports;
 }
 
+/// Implements only send, receive and shutdown, so subscribe() runs
+/// Transport's default polling pump over the wrapped transport.
+class PollOnlyTransport final : public Transport {
+ public:
+  explicit PollOnlyTransport(Transport& inner) : inner_(&inner) {}
+
+  void send(NodeId from, NodeId to, const Bytes& payload) override {
+    inner_->send(from, to, payload);
+  }
+  [[nodiscard]] std::optional<Envelope> receive(
+      NodeId node, std::chrono::milliseconds timeout) override {
+    return inner_->receive(node, timeout);
+  }
+  void shutdown() override { inner_->shutdown(); }
+
+ private:
+  Transport* inner_;
+};
+
 class TransportConformance : public ::testing::TestWithParam<const char*> {
  protected:
   [[nodiscard]] std::string variant() const { return GetParam(); }
@@ -56,7 +77,7 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
   }
 
   /// Builds a two-node deployment.  `saturable` configures bounds tight
-  /// enough that a burst of large sends hits backpressure: a tiny mailbox
+  /// enough that a burst of large sends hits backpressure: a tiny inbox
   /// for inproc, a short write queue over a tiny socket buffer for TCP.
   void makePair(bool saturable = false) {
     if (usesTcp()) {
@@ -76,24 +97,31 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
     // A real (if tiny) fault delay so the fault path is exercised, not
     // just passed through.
     if (variant() == "fault") {
-      fault0_ = std::make_unique<FaultInjectingTransport>(
+      wrapper_ = std::make_unique<FaultInjectingTransport>(
           *inproc_, FaultSpec::parse("delay:0->1:1"));
+    } else if (variant() == "poll") {
+      wrapper_ = std::make_unique<PollOnlyTransport>(*inproc_);
     }
   }
 
   Transport& node0() {
-    if (fault0_) return *fault0_;
+    if (wrapper_) return *wrapper_;
     return inproc_ ? static_cast<Transport&>(*inproc_)
                    : static_cast<Transport&>(*tcp0_);
   }
   Transport& node1() {
-    if (fault0_) return *fault0_;
+    if (wrapper_) return *wrapper_;
     return inproc_ ? static_cast<Transport&>(*inproc_)
                    : static_cast<Transport&>(*tcp1_);
   }
 
+  /// The metric labels of the base transport under the variant.
+  [[nodiscard]] obs::Labels labels() const {
+    return {{"transport", usesTcp() ? "tcp" : "inproc"}};
+  }
+
   void shutdownAll() {
-    if (fault0_) fault0_->shutdown();
+    if (wrapper_) wrapper_->shutdown();
     if (inproc_) inproc_->shutdown();
     if (tcp0_) tcp0_->shutdown();
     if (tcp1_) tcp1_->shutdown();
@@ -106,7 +134,7 @@ class TransportConformance : public ::testing::TestWithParam<const char*> {
   // must be destroyed first (reverse order).
   std::unique_ptr<InProcTransport> inproc_;
   std::unique_ptr<TcpTransport> tcp0_, tcp1_;
-  std::unique_ptr<FaultInjectingTransport> fault0_;
+  std::unique_ptr<Transport> wrapper_;  // fault or poll-only decorator
 };
 
 TEST_P(TransportConformance, PerLinkOrderingUnderLoad) {
@@ -184,8 +212,32 @@ TEST_P(TransportConformance, ShutdownMidSendIsClean) {
   EXPECT_EQ(node1().receive(1, 10ms), std::nullopt);
 }
 
+TEST_P(TransportConformance, ShutdownWakeupIsNotCountedAsTimeout) {
+  makePair();
+  const auto& timeouts =
+      obs::counter("privtopk.transport.receive_timeouts", labels());
+
+  // A genuine deadline miss increments the metric...
+  const std::uint64_t before = timeouts.value();
+  EXPECT_EQ(node1().receive(1, 10ms), std::nullopt);
+  EXPECT_EQ(timeouts.value(), before + 1);
+
+  // ...but a shutdown wakeup must not.
+  std::atomic<bool> woke{false};
+  std::thread blocked([&] {
+    (void)node1().receive(1, 10s);
+    woke = true;
+  });
+  std::this_thread::sleep_for(50ms);
+  const std::uint64_t beforeShutdown = timeouts.value();
+  shutdownAll();
+  blocked.join();
+  EXPECT_TRUE(woke);
+  EXPECT_EQ(timeouts.value(), beforeShutdown);
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, TransportConformance,
-                         ::testing::Values("inproc", "tcp", "fault"),
+                         ::testing::Values("inproc", "tcp", "fault", "poll"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -351,10 +403,9 @@ TEST_P(PushDelivery, UnsubscribeAfterShutdownIsPromptAndDoesNotSpin) {
 
 TEST_P(PushDelivery, MessagesReceivedCountsPushedEnvelopes) {
   makePair();
-  const obs::Labels labels{{"transport", usesTcp() ? "tcp" : "inproc"}};
   const auto& received =
-      obs::counter("privtopk.transport.messages_received", labels);
-  const auto& depth = obs::gauge("privtopk.transport.queue_depth", labels);
+      obs::counter("privtopk.transport.messages_received", labels());
+  const auto& depth = obs::gauge("privtopk.transport.queue_depth", labels());
   const std::uint64_t receivedBefore = received.value();
   const std::int64_t depthBefore = depth.value();
   node1().subscribe(1, collector_.handler());
@@ -367,7 +418,7 @@ TEST_P(PushDelivery, MessagesReceivedCountsPushedEnvelopes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, PushDelivery,
-                         ::testing::Values("inproc", "tcp", "fault"),
+                         ::testing::Values("inproc", "tcp", "fault", "poll"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "data/generator.hpp"
+#include "net/fault.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
 
@@ -135,6 +136,11 @@ TEST(NodeService, ConcurrentQueriesFromDifferentInitiators) {
   std::sort(all.begin(), all.end());
   all.resize(2);
   EXPECT_EQ(f3.get(), all);
+  // Every ring member retains the bottom-k result in protocol space and
+  // presents it in its natural order on read.
+  for (auto& service : cluster.services) {
+    EXPECT_EQ(service->waitFor(12, 5000ms), all);
+  }
 }
 
 TEST(NodeService, AggregateQueries) {
@@ -301,9 +307,10 @@ std::vector<net::TcpPeer> loopbackPeers(std::size_t n) {
 
 TEST(NodeService, StartAddsExactlyTheWorkerThreads) {
   // Transports push envelopes into the run queue, so a service owns its
-  // dispatch workers and nothing else: no receiver thread, no poll loop.
-  // The count is taken with the transports already up (TCP's reactor
-  // threads are the transport's, not the service's).
+  // dispatch workers and nothing else: no receiver thread, no poll loop -
+  // also behind the fault decorator, which forwards subscribe().  The
+  // count is taken with the transports already up (TCP's reactor threads
+  // are the transport's, not the service's).
   constexpr std::size_t kNodes = 3;
   ServiceOptions options;
   options.workerThreads = 3;
@@ -317,12 +324,13 @@ TEST(NodeService, StartAddsExactlyTheWorkerThreads) {
   const TopKVector expected =
       data::trueTopK(data::fleetValues(dbs, "sales", "revenue"), 3);
 
-  for (const bool tcp : {false, true}) {
-    SCOPED_TRACE(tcp ? "tcp" : "inproc");
+  for (const std::string variant : {"inproc", "tcp", "fault"}) {
+    SCOPED_TRACE(variant);
     std::unique_ptr<net::InProcTransport> inproc;
     std::vector<std::unique_ptr<net::TcpTransport>> sockets;
+    std::unique_ptr<net::FaultInjectingTransport> fault;
     std::vector<net::Transport*> endpoints;
-    if (tcp) {
+    if (variant == "tcp") {
       const auto peers = loopbackPeers(kNodes);
       for (std::size_t i = 0; i < kNodes; ++i) {
         sockets.push_back(std::make_unique<net::TcpTransport>(
@@ -332,6 +340,11 @@ TEST(NodeService, StartAddsExactlyTheWorkerThreads) {
     } else {
       inproc = std::make_unique<net::InProcTransport>(kNodes);
       endpoints.assign(kNodes, inproc.get());
+      if (variant == "fault") {
+        fault = std::make_unique<net::FaultInjectingTransport>(
+            *inproc, net::FaultSpec{});
+        endpoints.assign(kNodes, fault.get());
+      }
     }
     std::vector<std::unique_ptr<NodeService>> services;
     for (std::size_t i = 0; i < kNodes; ++i) {
