@@ -98,14 +98,16 @@ void BM_SealOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_SealOpen);
 
-// One untraced round token of k distinct values, as a ring hop encodes it
-// and as the next hop decodes it.
+// One untraced round token of k distinct values in the paper's domain, as
+// a ring hop encodes it (2 bytes a value, net::domainCoding) and as the
+// next hop decodes it.
 net::RoundToken benchToken(std::size_t k) {
   TopKVector vector(k);
   for (std::size_t i = 0; i < k; ++i) {
-    vector[i] = 10'000 - static_cast<Value>(i);
+    vector[i] = kPaperDomain.max - static_cast<Value>(i);
   }
-  return net::RoundToken{1, 3, std::move(vector), {}};
+  return net::RoundToken{1, 3, std::move(vector), {},
+                         net::domainCoding(kPaperDomain)};
 }
 
 void BM_EncodeToken(benchmark::State& state) {

@@ -7,9 +7,11 @@
 // so a corrupt or hostile frame can never read out of bounds.
 //
 // A writer can reserve its exact output size up front (net::encodeMessage
-// does, from net::encodedSize), so a frame is written into one allocation;
-// value vectors, the bulk of a round token, are stored and loaded eight
-// bytes at a time.
+// does, from net::encodedSize), so a frame is written into one allocation.
+// Value vectors, the bulk of a round token, travel as `v - base` in a
+// fixed width of 1-8 bytes (net::ValueCoding picks both from the query's
+// public domain); the 1-, 2-, 4- and 8-byte widths are stored and loaded
+// one word at a time.
 
 #pragma once
 
@@ -69,10 +71,15 @@ class ByteWriter {
     return n;
   }
 
-  /// Bytes writeValueVector appends for `count` values.
+  /// Bytes writeSignedVarint(v) appends.
+  [[nodiscard]] static constexpr std::size_t signedVarintSize(std::int64_t v) {
+    return varintSize(zigzag(v));
+  }
+
+  /// Bytes writeValueVector appends for `count` values of `width` bytes.
   [[nodiscard]] static constexpr std::size_t valueVectorSize(
-      std::size_t count) {
-    return varintSize(count) + 8 * count;
+      std::size_t count, std::size_t width = 8) {
+    return varintSize(count) + width * count;
   }
 
   /// Reserves room for `n` more bytes, so the writes that follow do not
@@ -103,6 +110,10 @@ class ByteWriter {
     buf_.push_back(static_cast<std::uint8_t>(v));
   }
 
+  /// Zigzag-mapped signed varint: small magnitudes of either sign stay
+  /// short.
+  void writeSignedVarint(std::int64_t v) { writeVarint(zigzag(v)); }
+
   void writeBytes(std::span<const std::uint8_t> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
   }
@@ -119,13 +130,34 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Length-prefixed vector of signed values (the top-k vector payload).
-  void writeValueVector(std::span<const std::int64_t> values) {
+  /// Length-prefixed vector of signed values, each stored as `v - base`
+  /// (wrapping mod 2^64) in `width` little-endian bytes, 1 <= width <= 8.
+  /// Width 8 with base 0 stores every value as is.  Throws ProtocolError
+  /// when a value does not fit: v - base must lie in [0, 2^(8*width)).
+  void writeValueVector(std::span<const std::int64_t> values,
+                        std::int64_t base = 0, std::size_t width = 8) {
+    if (width == 0 || width > 8) {
+      throw ProtocolError("value vector: width out of range");
+    }
     writeVarint(values.size());
-    std::uint8_t* out = grow(8 * values.size());
-    for (std::int64_t v : values) {
-      detail::storeLE(out, static_cast<std::uint64_t>(v));
-      out += 8;
+    std::uint8_t* out = grow(width * values.size());
+    const auto b = static_cast<std::uint64_t>(base);
+    switch (width) {
+      case 1: return storeValues<std::uint8_t>(out, values, b);
+      case 2: return storeValues<std::uint16_t>(out, values, b);
+      case 4: return storeValues<std::uint32_t>(out, values, b);
+      case 8: return storeValues<std::uint64_t>(out, values, b);
+      default:
+        for (std::int64_t v : values) {
+          const std::uint64_t u = static_cast<std::uint64_t>(v) - b;
+          if (u >> (8 * width) != 0) {
+            throw ProtocolError("value vector: value outside its coding");
+          }
+          for (std::size_t i = 0; i < width; ++i) {
+            out[i] = static_cast<std::uint8_t>(u >> (8 * i));
+          }
+          out += width;
+        }
     }
   }
 
@@ -144,6 +176,33 @@ class ByteWriter {
   template <typename T>
   void writeLE(T v) {
     detail::storeLE(grow(sizeof(T)), v);
+  }
+
+  /// One branch-free pass: every value is stored, and the bits above the
+  /// width are OR-ed together and checked once at the end (the buffer is
+  /// abandoned when that throws).
+  template <typename U>
+  static void storeValues(std::uint8_t* __restrict out,
+                          std::span<const std::int64_t> values,
+                          std::uint64_t base) {
+    const std::int64_t* __restrict in = values.data();
+    const std::size_t n = values.size();
+    std::uint64_t high = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t u = static_cast<std::uint64_t>(in[i]) - base;
+      if constexpr (sizeof(U) < sizeof(std::uint64_t)) {
+        high |= u >> (8 * sizeof(U));
+      }
+      detail::storeLE(out + i * sizeof(U), static_cast<U>(u));
+    }
+    if (high != 0) {
+      throw ProtocolError("value vector: value outside its coding");
+    }
+  }
+
+  static constexpr std::uint64_t zigzag(std::int64_t v) {
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
   }
 
   Bytes buf_;
@@ -186,6 +245,12 @@ class ByteReader {
     }
   }
 
+  /// Inverse of ByteWriter::writeSignedVarint.
+  [[nodiscard]] std::int64_t readSignedVarint() {
+    const std::uint64_t z = readVarint();
+    return static_cast<std::int64_t>((z >> 1) ^ (0 - (z & 1)));
+  }
+
   [[nodiscard]] Bytes readBlob() {
     std::uint64_t n = readVarint();
     need(n);
@@ -203,17 +268,36 @@ class ByteReader {
     return out;
   }
 
-  [[nodiscard]] std::vector<std::int64_t> readValueVector() {
-    std::uint64_t n = readVarint();
-    // Each value occupies 8 bytes; reject sizes the buffer cannot hold.
-    if (n > remaining() / 8) throw ProtocolError("value vector too long");
+  /// Inverse of ByteWriter::writeValueVector: each value is `base` plus
+  /// its `width`-byte offset, wrapping mod 2^64.  Throws ProtocolError on
+  /// a width outside [1, 8] or a count the remaining bytes cannot hold.
+  [[nodiscard]] std::vector<std::int64_t> readValueVector(
+      std::int64_t base = 0, std::size_t width = 8) {
+    if (width == 0 || width > 8) {
+      throw ProtocolError("value vector: width out of range");
+    }
+    const std::uint64_t n = readVarint();
+    // Reject counts the buffer cannot hold (no count * width overflow).
+    if (n > remaining() / width) throw ProtocolError("value vector too long");
     std::vector<std::int64_t> out(n);
     const std::uint8_t* in = data_.data() + pos_;
-    for (std::int64_t& v : out) {
-      v = static_cast<std::int64_t>(detail::loadLE<std::uint64_t>(in));
-      in += 8;
+    const auto b = static_cast<std::uint64_t>(base);
+    switch (width) {
+      case 1: loadValues<std::uint8_t>(in, out, b); break;
+      case 2: loadValues<std::uint16_t>(in, out, b); break;
+      case 4: loadValues<std::uint32_t>(in, out, b); break;
+      case 8: loadValues<std::uint64_t>(in, out, b); break;
+      default:
+        for (std::int64_t& v : out) {
+          std::uint64_t u = 0;
+          for (std::size_t i = 0; i < width; ++i) {
+            u |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+          }
+          v = static_cast<std::int64_t>(b + u);
+          in += width;
+        }
     }
-    pos_ += 8 * n;
+    pos_ += width * n;
     return out;
   }
 
@@ -231,6 +315,18 @@ class ByteReader {
     const T v = detail::loadLE<T>(data_.data() + pos_);
     pos_ += sizeof(T);
     return v;
+  }
+
+  template <typename U>
+  static void loadValues(const std::uint8_t* __restrict in,
+                         std::vector<std::int64_t>& values,
+                         std::uint64_t base) {
+    std::int64_t* __restrict out = values.data();
+    const std::size_t n = values.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<std::int64_t>(
+          base + detail::loadLE<U>(in + i * sizeof(U)));
+    }
   }
 
   std::span<const std::uint8_t> data_;

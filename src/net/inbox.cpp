@@ -14,6 +14,8 @@ Inbox::Inbox(NodeId node, const obs::Labels& labels, std::size_t maxDepth)
           obs::counter("privtopk.transport.bytes_received", labels)),
       metricReceiveTimeouts_(
           obs::counter("privtopk.transport.receive_timeouts", labels)),
+      metricOverloadRejected_(
+          obs::counter("privtopk.transport.overload_rejected", labels)),
       metricQueueDepth_(obs::gauge("privtopk.transport.queue_depth", labels)) {}
 
 void Inbox::deliver(Envelope&& env) {
@@ -29,6 +31,7 @@ void Inbox::deliver(Envelope&& env) {
     std::scoped_lock lock(mutex_);
     if (shutdown_) return;
     if (maxDepth_ > 0 && queue_.size() >= maxDepth_) {
+      metricOverloadRejected_.inc();
       throw OverloadError("inbox of node " + std::to_string(node_) +
                               " is full (" + std::to_string(queue_.size()) +
                               " envelopes)",

@@ -13,7 +13,8 @@
 //   - queue_depth rises when an envelope is queued and falls when it is
 //     received, handed over on subscribe(), or discarded by shutdown();
 //   - receive_timeouts counts receive() deadline misses, not shutdown
-//     wakeups.
+//     wakeups;
+//   - overload_rejected counts deliveries refused by a full queue.
 
 #pragma once
 
@@ -78,6 +79,7 @@ class Inbox {
   obs::Counter& metricMessagesReceived_;
   obs::Counter& metricBytesReceived_;
   obs::Counter& metricReceiveTimeouts_;
+  obs::Counter& metricOverloadRejected_;
   obs::Gauge& metricQueueDepth_;
 };
 

@@ -6,14 +6,6 @@ namespace privtopk::net {
 
 namespace {
 
-enum class Tag : std::uint8_t {
-  RoundToken = 1,
-  ResultAnnouncement = 2,
-  RingRepair = 3,
-  SumToken = 4,
-  QueryAnnounce = 5,
-};
-
 /// Trace context rides at the end of every message as two varints; both
 /// are 1 byte when tracing is off.
 void writeContext(ByteWriter& w, const obs::TraceContext& ctx) {
@@ -36,17 +28,37 @@ obs::TraceContext readContext(ByteReader& r) {
   return ctx;
 }
 
+/// A ranked frame's coding rides ahead of its value count: the base as a
+/// zigzag varint, then the width as one byte.
+std::size_t codedValuesSize(const ValueCoding& coding, std::size_t count) {
+  return ByteWriter::signedVarintSize(coding.base) + 1 +
+         ByteWriter::valueVectorSize(count, coding.width);
+}
+
+void writeCodedValues(ByteWriter& w, const ValueCoding& coding,
+                      const TopKVector& values) {
+  w.writeSignedVarint(coding.base);
+  w.writeU8(coding.width);
+  w.writeValueVector(values, coding.base, coding.width);
+}
+
+TopKVector readCodedValues(ByteReader& r, ValueCoding& coding) {
+  coding.base = r.readSignedVarint();
+  coding.width = r.readU8();
+  return r.readValueVector(coding.base, coding.width);
+}
+
 }  // namespace
 
 std::size_t encodedSize(const Message& message) {
   // tag + query id, then each type's body as encodeMessage writes it.
   constexpr std::size_t kHead = 1 + 8;
   if (const auto* token = std::get_if<RoundToken>(&message)) {
-    return kHead + 4 + ByteWriter::valueVectorSize(token->vector.size()) +
+    return kHead + 4 + codedValuesSize(token->coding, token->vector.size()) +
            contextSize(token->ctx);
   }
   if (const auto* result = std::get_if<ResultAnnouncement>(&message)) {
-    return kHead + ByteWriter::valueVectorSize(result->result.size()) +
+    return kHead + codedValuesSize(result->coding, result->result.size()) +
            contextSize(result->ctx);
   }
   if (const auto* repair = std::get_if<RingRepair>(&message)) {
@@ -69,31 +81,31 @@ Bytes encodeMessage(const Message& message) {
   ByteWriter w;
   w.reserve(encodedSize(message));
   if (const auto* token = std::get_if<RoundToken>(&message)) {
-    w.writeU8(static_cast<std::uint8_t>(Tag::RoundToken));
+    w.writeU8(static_cast<std::uint8_t>(MessageTag::RoundToken));
     w.writeU64(token->queryId);
     w.writeU32(token->round);
-    w.writeValueVector(token->vector);
+    writeCodedValues(w, token->coding, token->vector);
     writeContext(w, token->ctx);
   } else if (const auto* result = std::get_if<ResultAnnouncement>(&message)) {
-    w.writeU8(static_cast<std::uint8_t>(Tag::ResultAnnouncement));
+    w.writeU8(static_cast<std::uint8_t>(MessageTag::ResultAnnouncement));
     w.writeU64(result->queryId);
-    w.writeValueVector(result->result);
+    writeCodedValues(w, result->coding, result->result);
     writeContext(w, result->ctx);
   } else if (const auto* repair = std::get_if<RingRepair>(&message)) {
-    w.writeU8(static_cast<std::uint8_t>(Tag::RingRepair));
+    w.writeU8(static_cast<std::uint8_t>(MessageTag::RingRepair));
     w.writeU64(repair->queryId);
     w.writeU32(repair->failedNode);
     w.writeU32(repair->newSuccessor);
     writeContext(w, repair->ctx);
   } else if (const auto* sum = std::get_if<SumToken>(&message)) {
-    w.writeU8(static_cast<std::uint8_t>(Tag::SumToken));
+    w.writeU8(static_cast<std::uint8_t>(MessageTag::SumToken));
     w.writeU64(sum->queryId);
     w.writeU32(sum->round);
     w.writeValueVector(sum->sums);
     writeContext(w, sum->ctx);
   } else {
     const auto& announce = std::get<QueryAnnounce>(message);
-    w.writeU8(static_cast<std::uint8_t>(Tag::QueryAnnounce));
+    w.writeU8(static_cast<std::uint8_t>(MessageTag::QueryAnnounce));
     w.writeU64(announce.queryId);
     w.writeBlob(announce.descriptor);
     w.writeVarint(announce.ringOrder.size());
@@ -108,26 +120,26 @@ Bytes encodeMessage(const Message& message) {
 
 Message decodeMessage(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto tag = static_cast<Tag>(r.readU8());
+  const auto tag = static_cast<MessageTag>(r.readU8());
   switch (tag) {
-    case Tag::RoundToken: {
+    case MessageTag::RoundToken: {
       RoundToken token;
       token.queryId = r.readU64();
       token.round = r.readU32();
-      token.vector = r.readValueVector();
+      token.vector = readCodedValues(r, token.coding);
       token.ctx = readContext(r);
       if (!r.atEnd()) throw ProtocolError("RoundToken: trailing bytes");
       return token;
     }
-    case Tag::ResultAnnouncement: {
+    case MessageTag::ResultAnnouncement: {
       ResultAnnouncement result;
       result.queryId = r.readU64();
-      result.result = r.readValueVector();
+      result.result = readCodedValues(r, result.coding);
       result.ctx = readContext(r);
       if (!r.atEnd()) throw ProtocolError("ResultAnnouncement: trailing bytes");
       return result;
     }
-    case Tag::RingRepair: {
+    case MessageTag::RingRepair: {
       RingRepair repair;
       repair.queryId = r.readU64();
       repair.failedNode = r.readU32();
@@ -136,7 +148,7 @@ Message decodeMessage(std::span<const std::uint8_t> bytes) {
       if (!r.atEnd()) throw ProtocolError("RingRepair: trailing bytes");
       return repair;
     }
-    case Tag::SumToken: {
+    case MessageTag::SumToken: {
       SumToken sum;
       sum.queryId = r.readU64();
       sum.round = r.readU32();
@@ -145,7 +157,7 @@ Message decodeMessage(std::span<const std::uint8_t> bytes) {
       if (!r.atEnd()) throw ProtocolError("SumToken: trailing bytes");
       return sum;
     }
-    case Tag::QueryAnnounce: {
+    case MessageTag::QueryAnnounce: {
       QueryAnnounce announce;
       announce.queryId = r.readU64();
       announce.descriptor = r.readBlob();

@@ -7,9 +7,15 @@
 // Every message also carries an obs::TraceContext as two trailing varints
 // (trace id, parent span id) so distributed traces survive node hops.  A
 // zero trace id means tracing is off and costs two bytes per message.
+//
+// Ranked values (RoundToken, ResultAnnouncement) travel in a ValueCoding
+// fixed by the query's public domain, so a frame's length depends only on
+// k and that domain - never on the values (docs/PRIVACY.md).
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <variant>
 
@@ -19,22 +25,58 @@
 
 namespace privtopk::net {
 
+/// The first byte of every encoded message.
+enum class MessageTag : std::uint8_t {
+  RoundToken = 1,
+  ResultAnnouncement = 2,
+  RingRepair = 3,
+  SumToken = 4,
+  QueryAnnounce = 5,
+};
+
+/// How a frame carries its values: each value v as v - base (wrapping
+/// mod 2^64) in `width` little-endian bytes, 1 <= width <= 8.  The default
+/// stores every int64 as is, in 8 bytes.
+struct ValueCoding {
+  Value base = 0;
+  std::uint8_t width = 8;
+
+  friend bool operator==(const ValueCoding&, const ValueCoding&) = default;
+};
+
+/// The coding of a ranked query over `domain`: base = domain.min and the
+/// fewest whole bytes that hold domain.max - domain.min (2 for the paper's
+/// [1, 10000], 8 for the full int64 range).  A pure function of public
+/// data, so every node derives the same coding.
+[[nodiscard]] constexpr ValueCoding domainCoding(const Domain& domain) {
+  const std::uint64_t span = static_cast<std::uint64_t>(domain.max) -
+                             static_cast<std::uint64_t>(domain.min);
+  const auto bytes = static_cast<std::uint8_t>((std::bit_width(span) + 7) / 8);
+  return ValueCoding{domain.min, std::max<std::uint8_t>(1, bytes)};
+}
+
 /// The per-round payload: the current global top-k vector.
 struct RoundToken {
   std::uint64_t queryId = 0;
   Round round = 1;
   TopKVector vector;
   obs::TraceContext ctx{};
+  /// How `vector` travels; protocol::core::Participant sets it from the
+  /// query's domain.
+  ValueCoding coding{};
 
   friend bool operator==(const RoundToken&, const RoundToken&) = default;
 };
 
 /// Final-result broadcast sent around the ring once the starting node
-/// terminates the query.
+/// terminates the query.  A ranked result travels in its query's domain
+/// coding; an aggregate result (unmasked secure-sum totals) keeps the
+/// default 8-byte coding.
 struct ResultAnnouncement {
   std::uint64_t queryId = 0;
   TopKVector result;
   obs::TraceContext ctx{};
+  ValueCoding coding{};
 
   friend bool operator==(const ResultAnnouncement&,
                          const ResultAnnouncement&) = default;
@@ -52,7 +94,8 @@ struct RingRepair {
 };
 
 /// Additive-share payload for the secure-sum protocol (kNN label voting,
-/// sum/count/average queries).
+/// sum/count/average queries).  Masked shares are uniform mod 2^64, so
+/// they always travel in 8 bytes.
 struct SumToken {
   std::uint64_t queryId = 0;
   Round round = 1;
@@ -94,10 +137,14 @@ using Message = std::variant<RoundToken, ResultAnnouncement, RingRepair,
 [[nodiscard]] std::size_t encodedSize(const Message& message);
 
 /// Serializes a message (1-byte tag + body) into one buffer of exactly
-/// encodedSize(message) bytes.
+/// encodedSize(message) bytes.  Throws ProtocolError when a value does not
+/// fit its frame's coding.
 [[nodiscard]] Bytes encodeMessage(const Message& message);
 
-/// Parses a message; throws ProtocolError on malformed input.
+/// Parses a message; throws ProtocolError on malformed input, including a
+/// value coding whose width lies outside [1, 8].  A decoded value lies in
+/// its frame's coding; whether that fits the query is the receiver's
+/// check (query::ServiceCore).
 [[nodiscard]] Message decodeMessage(std::span<const std::uint8_t> bytes);
 
 }  // namespace privtopk::net

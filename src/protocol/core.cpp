@@ -82,6 +82,7 @@ Participant::Participant(ParticipantConfig config, TopKVector localTopK,
       spanSink_(config.spanSink),
       algorithm_(std::move(algorithm)) {
   params_.validate();
+  coding_ = net::domainCoding(params_.domain);
   validateMechanismFor(config.kind, params_);
   requireRingSize(ringOrder_.size(), "core::Participant");
   if (!onRing(ringOrder_, self_)) {
@@ -135,7 +136,7 @@ Actions Participant::finish(Actions actions, const TopKVector& result,
   completed_ = true;
   if (trace_ != nullptr) trace_->result = result_;
   actions.completed = true;
-  actions.sendResult = net::ResultAnnouncement{queryId_, result_, ctx};
+  actions.sendResult = net::ResultAnnouncement{queryId_, result_, ctx, coding_};
   return actions;
 }
 
@@ -155,7 +156,8 @@ Actions Participant::onStart(obs::TraceContext ctx) {
   actions.sendToken = net::RoundToken{
       queryId_, 1, std::move(out),
       obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_, 1, t0,
-                         0)};
+                         0),
+      coding_};
   return actions;
 }
 
@@ -189,7 +191,8 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
     actions.sendToken = net::RoundToken{
         queryId_, round + 1, std::move(out),
         obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_,
-                           round + 1, t0, queueNs)};
+                           round + 1, t0, queueNs),
+        coding_};
     return actions;
   }
   if (round <= lastProcessed_) {
@@ -200,7 +203,8 @@ Actions Participant::onToken(Round round, const TopKVector& vector,
   actions.sendToken = net::RoundToken{
       queryId_, round, std::move(out),
       obs::emitChildSpan(spanSink_, ctx, "ring_round", queryId_, self_, round,
-                         t0, queueNs)};
+                         t0, queueNs),
+      coding_};
   return actions;
 }
 

@@ -161,7 +161,8 @@ struct ParticipantConfig {
   obs::TraceSink* spanSink = nullptr;
 };
 
-/// Effects returned by every input; the driver performs the I/O.
+/// Effects returned by every input; the driver performs the I/O.  Emitted
+/// tokens and results carry net::domainCoding(params.domain).
 struct Actions {
   /// Hand this token to the current ring successor.
   std::optional<net::RoundToken> sendToken;
@@ -270,6 +271,9 @@ class Participant {
   NodeId self_ = 0;
   std::vector<NodeId> ringOrder_;
   ProtocolParams params_;
+  /// The wire coding of every token and result this node emits, fixed by
+  /// the query's public domain (net::domainCoding).
+  net::ValueCoding coding_;
   std::unique_ptr<PrivacyMechanism> mechanism_;
   ExecutionTrace* trace_ = nullptr;
   obs::TraceSink* spanSink_ = nullptr;

@@ -28,6 +28,34 @@ ServiceCore::Frame frameOf(const net::Message& message) {
   return std::make_shared<const Bytes>(net::encodeMessage(message));
 }
 
+/// The coding of a query's tokens and results: its domain's for a ranked
+/// query, the 8-byte default for an aggregate's secure-sum totals.
+net::ValueCoding codingOf(bool aggregate, const Domain& domain) {
+  return aggregate ? net::ValueCoding{} : net::domainCoding(domain);
+}
+
+net::ValueCoding codingOf(const QueryDescriptor& descriptor) {
+  return codingOf(descriptor.isAggregate(), descriptor.params.domain);
+}
+
+/// Throws ProtocolError unless a token's or result's values arrived in
+/// the query's coding and, for a ranked query, lie in its public domain.
+/// A 2-byte field holds values up to base + 65535, past a [1, 10000]
+/// domain, so the coding alone does not bound them.
+void checkValues(const QueryDescriptor& descriptor,
+                 const net::ValueCoding& coding, const TopKVector& values) {
+  if (coding != codingOf(descriptor)) {
+    throw ProtocolError("value coding does not match the query's domain");
+  }
+  if (descriptor.isAggregate()) return;
+  const Domain& domain = descriptor.params.domain;
+  for (const Value v : values) {
+    if (!domain.contains(v)) {
+      throw ProtocolError("value outside the query's domain");
+    }
+  }
+}
+
 /// Messages held per grouped query until this node's own phase-1 run
 /// finishes (merge traffic at a delegate, the final result at a member);
 /// beyond this the sender's retransmission covers us.
@@ -692,6 +720,7 @@ void ServiceCore::onRoundToken(const net::RoundToken& token,
                       token.queryId);
     return;
   }
+  checkValues(state.descriptor, token.coding, token.vector);
   // The core emits the "ring_round" span and stamps the outgoing token;
   // the state context tracks the chain for service-side spans (repair).
   if (token.ctx.active()) state.traceCtx = token.ctx;
@@ -788,6 +817,7 @@ void ServiceCore::onResult(const net::ResultAnnouncement& result,
   }
   QueryState& state = it->second;
   if (state.aborted) return;
+  checkValues(state.descriptor, result.coding, result.result);
   if (state.participant) {
     // The core emits the "result_dissemination" span and stamps the
     // forwarded announcement.
@@ -843,7 +873,8 @@ bool ServiceCore::replayCompletedResult(std::uint64_t queryId, NodeId from,
   // ended at its completion, and a fabricated parent would dangle.
   fx.sends.push_back(Outbound{
       queryId,
-      frameOf(net::ResultAnnouncement{queryId, replay.raw, {}}),
+      frameOf(net::ResultAnnouncement{
+          queryId, replay.raw, {}, codingOf(replay.aggregate, replay.domain)}),
       from, false});
   return true;
 }
@@ -948,7 +979,9 @@ void ServiceCore::onPhaseDone(std::uint8_t phase, std::uint64_t parentId,
     // Disseminate the final result around this delegate's group ring;
     // every member completes the parent on receipt (onResult's
     // forward-once branch), and this node completes it right here.
-    queueSend(parent, net::ResultAnnouncement{parentId, raw, parent.traceCtx},
+    queueSend(parent,
+              net::ResultAnnouncement{parentId, raw, parent.traceCtx,
+                                      codingOf(parent.descriptor)},
               now, fx);
     applyCompletion(parentId, std::move(raw), now, fx);
     return;
@@ -961,7 +994,8 @@ void ServiceCore::onPhaseDone(std::uint8_t phase, std::uint64_t parentId,
     // already retired the query answers it with the stored result
     // (replayCompletedResult), so a lost dissemination hop is recovered at
     // the retransmission deadline rather than by the stale GC.
-    parent.lastMessage = frameOf(net::RoundToken{parentId, 0, {}, {}});
+    parent.lastMessage = frameOf(
+        net::RoundToken{parentId, 0, {}, {}, codingOf(parent.descriptor)});
     // The merge phase runs the same rounds over the merge ring, so it is
     // expected to take this group phase's time scaled by the two rings'
     // lengths.  The first probe falls due retransmitAfter after that
@@ -1040,11 +1074,10 @@ void ServiceCore::applyCompletion(std::uint64_t queryId, TopKVector raw,
   fx.retired.push_back(
       Retirement{queryId, presentResult(state.descriptor, raw), std::string{}});
   // Only a phase hand-off still reads `raw` below; otherwise it moves.
+  const QueryDescriptor& descriptor = state.descriptor;
   Retained retained{phase == 0 ? std::move(raw) : TopKVector(raw),
-                    std::nullopt, ringOf(state), std::nullopt};
-  if (state.descriptor.isBottom()) {
-    retained.mirroredIn = state.descriptor.params.domain;
-  }
+                    descriptor.params.domain, descriptor.isBottom(),
+                    descriptor.isAggregate(), ringOf(state), std::nullopt};
   if (state.trace != nullptr) retained.trace = std::move(*state.trace);
   if (completed_.insert_or_assign(queryId, std::move(retained)).second) {
     completedOrder_.push_back(queryId);
@@ -1076,8 +1109,8 @@ std::optional<TopKVector> ServiceCore::resultOf(std::uint64_t queryId) const {
   const auto it = completed_.find(queryId);
   if (it == completed_.end()) return std::nullopt;
   const Retained& retained = it->second;
-  if (!retained.mirroredIn) return retained.raw;
-  return mirrorValues(*retained.mirroredIn, retained.raw);
+  if (!retained.mirrored) return retained.raw;
+  return mirrorValues(retained.domain, retained.raw);
 }
 
 std::optional<protocol::ExecutionTrace> ServiceCore::traceOf(

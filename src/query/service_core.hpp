@@ -20,7 +20,9 @@
 // Order ACROSS queries is not assumed: a grouped member may see the final
 // parent-id result before its own phase-1 result, which is stashed until
 // the phase-1 hand-off.  Retransmission can introduce duplicates; per-query
-// round tracking suppresses them.  Malformed traffic is logged and dropped.
+// round tracking suppresses them.  Malformed traffic is logged and dropped,
+// as is a token or result whose value coding or values do not fit the
+// registered query's public domain.
 
 #pragma once
 
@@ -355,11 +357,17 @@ class ServiceCore {
   /// whose ResultAnnouncement hop was lost (replayCompletedResult) - the
   /// ring it ran on.
   struct Retained {
-    /// The raw (protocol-space) result, which a replay resends.
+    /// The raw (protocol-space) result, which a replay resends in the
+    /// query's coding (see codingOf).
     TopKVector raw;
-    /// Set for a bottom-k query: its presented result is `raw` mirrored
-    /// within this domain.
-    std::optional<Domain> mirroredIn;
+    /// The query's public domain.
+    Domain domain;
+    /// A bottom-k query: its presented result is `raw` mirrored within
+    /// `domain`.
+    bool mirrored = false;
+    /// An aggregate query: `raw` holds secure-sum totals, which travel in
+    /// the default coding.
+    bool aggregate = false;
     std::vector<NodeId> ring;
     std::optional<protocol::ExecutionTrace> trace;
   };

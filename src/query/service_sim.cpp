@@ -100,7 +100,9 @@ void ServiceSim::send(NodeId from, const ServiceCore::Outbound& out) {
     if (out.ring) perform(from, cores_[from]->onSendFailed(out));
     return;
   }
-  sends_.emplace_back(from, out.target);
+  sends_.push_back(Send{from, out.target,
+                        static_cast<net::MessageTag>(out.wire->front()),
+                        out.wire->size()});
   if (out.ring) cores_[from]->onSendSucceeded(out.queryId);
   if (dropped) return;
   sim::SimTime at = now() + latency_->sample(latencyRng_) +

@@ -49,6 +49,15 @@ struct SimOptions {
 
 class ServiceSim {
  public:
+  /// One message that entered the network: its link, its type and its
+  /// frame's exact size in bytes.
+  struct Send {
+    NodeId from = 0;
+    NodeId to = 0;
+    net::MessageTag tag{};
+    std::size_t bytes = 0;
+  };
+
   /// A query `node` stopped serving at virtual time `at`.
   struct Retired : ServiceCore::Retirement {
     NodeId node = 0;
@@ -93,11 +102,9 @@ class ServiceSim {
   /// time, or why it failed); nullptr while it is still running.
   [[nodiscard]] const Retired* outcome(std::uint64_t queryId) const;
   /// Messages that entered the network (sends a crash did not refuse),
-  /// dropped ones included, as (from, to) links in send order: entry n-1
-  /// is the run's nth message, which a FaultSpec drop can then target.
-  [[nodiscard]] const std::vector<std::pair<NodeId, NodeId>>& sends() const {
-    return sends_;
-  }
+  /// dropped ones included, in send order: entry n-1 is the run's nth
+  /// message, which a FaultSpec drop on its link can then target.
+  [[nodiscard]] const std::vector<Send>& sends() const { return sends_; }
   [[nodiscard]] ServiceCore::TimePoint timePoint() const;
 
  private:
@@ -120,7 +127,7 @@ class ServiceSim {
   std::map<std::uint64_t, NodeId> initiators_;
   std::vector<Retired> retirements_;
   std::function<void(const ServiceSim&)> observer_;
-  std::vector<std::pair<NodeId, NodeId>> sends_;
+  std::vector<Send> sends_;
   bool tickArmed_ = false;
 };
 

@@ -160,7 +160,10 @@ TEST(FuzzDecode, RoundTripSurvivesAdversarialVectors) {
   const std::vector<net::Message> messages = {
       net::RoundToken{0, 1, {}},
       net::RoundToken{~0ull, ~0u, {INT64_MAX, INT64_MIN, 0}},
+      net::RoundToken{5, 3, {10000, 1}, {}, net::domainCoding(kPaperDomain)},
       net::ResultAnnouncement{1, TopKVector(100, 7)},
+      net::ResultAnnouncement{1, TopKVector(100, 7), {},
+                              net::ValueCoding{-3, 5}},
       net::RingRepair{9, 4294967295u, 0},
       net::SumToken{3, 2, {INT64_MIN, -1, INT64_MAX}},
   };
@@ -169,6 +172,133 @@ TEST(FuzzDecode, RoundTripSurvivesAdversarialVectors) {
     const Bytes twice = net::encodeMessage(net::decodeMessage(once));
     EXPECT_EQ(once, twice);
     EXPECT_EQ(net::encodedSize(msg), once.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ranked value coding: base (zigzag varint) and width (one byte) ahead of
+// the value count.
+
+/// A paper-domain token's frame: tag, query id, round, then the coding
+/// header at kCodingAt (base 1 as zigzag 0x02, width 2) and the count.
+constexpr std::size_t kCodingAt = 1 + 8 + 4;
+
+Bytes paperToken() {
+  return net::encodeMessage(net::RoundToken{
+      42, 7, {10000, 5000, 1}, {}, net::domainCoding(kPaperDomain)});
+}
+
+TEST(FuzzDecode, ValueWidthOutsideOneToEightIsRejected) {
+  // A three-value token, and an empty one whose zero values would fit any
+  // width: the width byte alone must make both fail.
+  const Bytes valid = paperToken();
+  ASSERT_EQ(valid[kCodingAt], 0x02);
+  ASSERT_EQ(valid[kCodingAt + 1], 2);
+  const Bytes empty = net::encodeMessage(
+      net::RoundToken{1, 1, {}, {}, net::domainCoding(kPaperDomain)});
+  for (int width = 0; width <= 255; ++width) {
+    if (width >= 1 && width <= 8) continue;
+    for (Bytes bad : {valid, empty}) {
+      bad[kCodingAt + 1] = static_cast<std::uint8_t>(width);
+      EXPECT_THROW((void)net::decodeMessage(bad), ProtocolError) << width;
+    }
+  }
+  // The same header on a result frame (no round field).
+  const Bytes result = net::encodeMessage(
+      net::ResultAnnouncement{7, {}, {}, net::domainCoding(kPaperDomain)});
+  for (const std::uint8_t width : {0, 9, 255}) {
+    Bytes bad = result;
+    bad[1 + 8 + 1] = width;
+    EXPECT_THROW((void)net::decodeMessage(bad), ProtocolError) << int{width};
+  }
+}
+
+TEST(FuzzDecode, TruncationInsideTheCodingOrTheValuesIsRejected) {
+  // Every proper prefix fails: inside the base varint, before the width,
+  // before the count, and mid-value.
+  const Bytes valid = paperToken();
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    const Bytes cut(valid.begin(),
+                    valid.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)net::decodeMessage(cut), ProtocolError) << len;
+  }
+  // A multi-byte base varint cut after its continuation byte.
+  const Bytes wide = net::encodeMessage(
+      net::RoundToken{1, 1, {-100000}, {}, net::ValueCoding{-100000, 1}});
+  ASSERT_GT(wide.size(), kCodingAt + 2);
+  ASSERT_NE(wide[kCodingAt] & 0x80, 0);
+  const Bytes cut(wide.begin(),
+                  wide.begin() + static_cast<std::ptrdiff_t>(kCodingAt + 1));
+  EXPECT_THROW((void)net::decodeMessage(cut), ProtocolError);
+}
+
+TEST(FuzzDecode, CountTimesWidthBeyondTheFrameIsRejected) {
+  // Counts whose count * width exceeds the remaining bytes - including
+  // ones where the product overflows 64 bits - fail before any allocation.
+  for (const std::uint8_t width : {1, 2, 3, 7, 8}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{4}, std::uint64_t{1} << 20, std::uint64_t{1} << 61,
+          ~std::uint64_t{0} / width + 1, ~std::uint64_t{0}}) {
+      ByteWriter w;
+      w.writeU8(static_cast<std::uint8_t>(net::MessageTag::RoundToken));
+      w.writeU64(1);
+      w.writeU32(1);
+      w.writeSignedVarint(0);
+      w.writeU8(width);
+      w.writeVarint(count);
+      w.writeBytes(Bytes(3 * width, 0));  // room for 3 values, then ctx
+      w.writeU8(0);
+      w.writeU8(0);
+      EXPECT_THROW((void)net::decodeMessage(w.bytes()), ProtocolError)
+          << "width " << int{width} << " count " << count;
+    }
+  }
+}
+
+TEST(FuzzDecode, WidthEightBaseZeroKeepsTheInt64Extremes) {
+  // The default coding reproduces every int64 exactly, with wrapping
+  // arithmetic at both ends; so does a width-8 domain whose base is the
+  // int64 minimum.
+  const TopKVector extremes = {INT64_MAX, INT64_MIN, -1, 0, 1};
+  const net::RoundToken plain{9, 2, extremes};
+  ASSERT_EQ(plain.coding, (net::ValueCoding{0, 8}));
+  const Bytes once = net::encodeMessage(plain);
+  EXPECT_EQ(std::get<net::RoundToken>(net::decodeMessage(once)), plain);
+  EXPECT_EQ(net::encodeMessage(net::decodeMessage(once)), once);
+
+  const net::ResultAnnouncement shifted{
+      9, extremes, {}, net::domainCoding(Domain{INT64_MIN, INT64_MAX})};
+  ASSERT_EQ(shifted.coding.width, 8);
+  EXPECT_EQ(
+      std::get<net::ResultAnnouncement>(
+          net::decodeMessage(net::encodeMessage(shifted))),
+      shifted);
+}
+
+TEST(FuzzDecode, MutatedCodedFramesDecodeToTheirCodingOrFail) {
+  // Bit flips in a paper-domain token either fail with a typed error or
+  // decode to values that lie inside whatever coding the frame now names.
+  Rng rng(0xF014);
+  const Bytes valid = paperToken();
+  for (int i = 0; i < 5000; ++i) {
+    Bytes mutated = valid;
+    mutated[rng.index(mutated.size())] ^=
+        static_cast<std::uint8_t>(1u << rng.index(8));
+    try {
+      const auto message = net::decodeMessage(mutated);
+      const auto* token = std::get_if<net::RoundToken>(&message);
+      if (token == nullptr) continue;
+      ASSERT_GE(token->coding.width, 1);
+      ASSERT_LE(token->coding.width, 8);
+      const auto base = static_cast<std::uint64_t>(token->coding.base);
+      for (const Value v : token->vector) {
+        const std::uint64_t offset = static_cast<std::uint64_t>(v) - base;
+        if (token->coding.width < 8) {
+          EXPECT_EQ(offset >> (8 * token->coding.width), 0u);
+        }
+      }
+    } catch (const Error&) {
+    }
   }
 }
 

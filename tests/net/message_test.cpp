@@ -27,23 +27,36 @@ std::string hexOf(const Bytes& bytes) {
 TEST(Message, GoldenBytesForEveryType) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr ValueCoding kPaper = domainCoding(kPaperDomain);
   QueryAnnounce grouped{0x0102030405060708ull, Bytes{0xaa, 0xbb}, {4, 5, 300}};
   grouped.parentQueryId = 99;
   grouped.phase = 1;
   grouped.groups = 200;
-  // Fields are split one per string piece: tag, query id, round, count,
+  // Fields are split one per string piece: tag, query id, round, then for
+  // a ranked frame its coding (base as a zigzag varint, width), count,
   // values, trace context (two varints).
   const std::vector<std::pair<Message, std::string>> golden = {
+      // Default coding {0, 8}: every value as is.
       {RoundToken{42, 3, {kMax, -1, kMin}},
-       "01" "2a00000000000000" "03000000" "03"
+       "01" "2a00000000000000" "03000000" "00" "08" "03"
        "ffffffffffffff7f" "ffffffffffffffff" "0000000000000080" "00" "00"},
       {RoundToken{1, 1, {}},
-       "01" "0100000000000000" "01000000" "00" "00" "00"},
+       "01" "0100000000000000" "01000000" "00" "08" "00" "00" "00"},
+      // The paper's [1, 10000]: base 1 (zigzag 2), width 2, v - 1 stored.
+      {RoundToken{5, 2, {10000, 9999, 1}, {}, kPaper},
+       "01" "0500000000000000" "02000000" "02" "02" "03"
+       "0f27" "0e27" "0000" "00" "00"},
+      // A negative base (zigzag 19) in one byte.
+      {RoundToken{6, 1, {-3, -10}, {}, ValueCoding{-10, 1}},
+       "01" "0600000000000000" "01000000" "13" "01" "02" "07" "00" "00" "00"},
       {ResultAnnouncement{7, {100, 50}},
-       "02" "0700000000000000" "02" "6400000000000000" "3200000000000000"
-       "00" "00"},
+       "02" "0700000000000000" "00" "08" "02" "6400000000000000"
+       "3200000000000000" "00" "00"},
+      {ResultAnnouncement{7, {100, 50}, {}, kPaper},
+       "02" "0700000000000000" "02" "02" "02" "6300" "3100" "00" "00"},
       {RingRepair{9, 3, 0xfffffffeu},
        "03" "0900000000000000" "03000000" "feffffff" "00" "00"},
+      // Masked shares stay 8 bytes each, with no coding header.
       {SumToken{11, 2, {-5, 0, 123456789}},
        "04" "0b00000000000000" "02000000" "03"
        "fbffffffffffffff" "0000000000000000" "15cd5b0700000000" "00" "00"},
@@ -52,8 +65,8 @@ TEST(Message, GoldenBytesForEveryType) {
        "05" "0807060504030201" "02" "aabb" "03" "04000000" "05000000"
        "2c010000" "6300000000000000" "01" "c801" "00" "00"},
       {RoundToken{5, 2, {9999}, obs::TraceContext{300, 1ull << 40}},
-       "01" "0500000000000000" "02000000" "01" "0f27000000000000" "ac02"
-       "808080808020"},
+       "01" "0500000000000000" "02000000" "00" "08" "01" "0f27000000000000"
+       "ac02" "808080808020"},
   };
   for (const auto& [message, hex] : golden) {
     const Bytes encoded = encodeMessage(message);
@@ -61,6 +74,59 @@ TEST(Message, GoldenBytesForEveryType) {
     EXPECT_EQ(encodedSize(message), encoded.size());
     EXPECT_EQ(decodeMessage(encoded), message);
   }
+}
+
+TEST(Message, DomainCodingIsTheFewestBytesThatHoldTheSpan) {
+  EXPECT_EQ(domainCoding(kPaperDomain), (ValueCoding{1, 2}));
+  EXPECT_EQ(domainCoding(Domain{5, 5}), (ValueCoding{5, 1}));
+  EXPECT_EQ(domainCoding(Domain{0, 255}), (ValueCoding{0, 1}));
+  EXPECT_EQ(domainCoding(Domain{0, 256}), (ValueCoding{0, 2}));
+  EXPECT_EQ(domainCoding(Domain{-1, 65534}), (ValueCoding{-1, 2}));
+  EXPECT_EQ(domainCoding(Domain{0, 65536}), (ValueCoding{0, 3}));
+  EXPECT_EQ(domainCoding(Domain{0, (Value{1} << 32) - 1}), (ValueCoding{0, 4}));
+  EXPECT_EQ(domainCoding(Domain{0, Value{1} << 56}), (ValueCoding{0, 8}));
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(domainCoding(Domain{kMin, kMax}), (ValueCoding{kMin, 8}));
+}
+
+TEST(Message, EveryWidthRoundTripsItsDomainEnds) {
+  // One domain per width 1..8: both ends of the domain survive, the frame
+  // spends exactly `width` bytes per value, and a value one past the top
+  // of the coding is refused at encode time.
+  for (int width = 1; width <= 8; ++width) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    const Value lo = -7;
+    const Value hi =
+        width == 8
+            ? std::numeric_limits<Value>::max()
+            : lo + static_cast<Value>((std::uint64_t{1} << (8 * width)) - 1);
+    const ValueCoding coding = domainCoding(Domain{lo, hi});
+    ASSERT_EQ(coding.width, width);
+    const RoundToken token{3, 1, {hi, lo, hi}, {}, coding};
+    const Bytes encoded = encodeMessage(token);
+    EXPECT_EQ(encoded.size(), encodedSize(token));
+    EXPECT_EQ(encoded.size(), 1 + 8 + 4 + 1 + 1 + 1 + 3 * width + 2u);
+    EXPECT_EQ(std::get<RoundToken>(decodeMessage(encoded)), token);
+    if (width < 8) {
+      EXPECT_THROW((void)encodeMessage(RoundToken{3, 1, {hi + 1}, {}, coding}),
+                   ProtocolError);
+      EXPECT_THROW((void)encodeMessage(RoundToken{3, 1, {lo - 1}, {}, coding}),
+                   ProtocolError);
+    }
+  }
+}
+
+TEST(Message, FrameLengthDependsOnlyOnCountAndCoding) {
+  // A fixed width leaks nothing about the values through the frame length.
+  const ValueCoding coding = domainCoding(kPaperDomain);
+  const auto sizeOf = [&coding](TopKVector values) {
+    return encodeMessage(RoundToken{1, 2, std::move(values), {}, coding})
+        .size();
+  };
+  const std::size_t size = sizeOf({1, 1, 1});
+  EXPECT_EQ(sizeOf({10000, 5000, 1}), size);
+  EXPECT_EQ(sizeOf({10000, 10000, 10000}), size);
 }
 
 TEST(Message, RoundTokenRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 
 namespace privtopk::net {
 namespace {
@@ -86,6 +87,23 @@ TEST(InProcTransport, CountsMessagesAndBytes) {
   t.send(1, 0, bytesOf("123"));
   EXPECT_EQ(t.messagesSent(), 2u);
   EXPECT_EQ(t.bytesSent(), 8u);
+}
+
+TEST(InProcTransport, FullInboxCountsOverloadRejected) {
+  // A send refused by a full inbox surfaces OverloadError and ticks the
+  // same counter as TCP write-queue backpressure, under the inproc label.
+  const obs::Counter& rejected = obs::counter(
+      "privtopk.transport.overload_rejected", {{"transport", "inproc"}});
+  const std::uint64_t before = rejected.value();
+  InProcTransport t(2, 1);
+  t.send(0, 1, bytesOf("a"));
+  EXPECT_THROW(t.send(0, 1, bytesOf("b")), OverloadError);
+  EXPECT_THROW(t.send(0, 1, bytesOf("c")), OverloadError);
+  EXPECT_EQ(rejected.value(), before + 2);
+  // Draining the inbox makes room again; an accepted send counts nothing.
+  ASSERT_TRUE(t.receive(1, 10ms).has_value());
+  t.send(0, 1, bytesOf("d"));
+  EXPECT_EQ(rejected.value(), before + 2);
 }
 
 // ---------------------------------------------------------------------------

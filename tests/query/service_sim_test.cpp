@@ -122,6 +122,76 @@ TEST(SimulatedRun, CompletionTimeMatchesHopCount) {
   }
 }
 
+/// Messages and bytes per message type over a whole run.
+struct TypeCost {
+  std::size_t messages = 0;
+  std::size_t bytes = 0;
+  friend bool operator==(const TypeCost&, const TypeCost&) = default;
+};
+
+std::map<net::MessageTag, TypeCost> costByType(const ServiceSim& sim) {
+  std::map<net::MessageTag, TypeCost> cost;
+  for (const ServiceSim::Send& send : sim.sends()) {
+    ++cost[send.tag].messages;
+    cost[send.tag].bytes += send.bytes;
+  }
+  return cost;
+}
+
+std::size_t totalBytes(const ServiceSim& sim) {
+  std::size_t bytes = 0;
+  for (const ServiceSim::Send& send : sim.sends()) bytes += send.bytes;
+  return bytes;
+}
+
+TEST(SimulatedRun, ExactBytesPerMessageType) {
+  // The §4.2 cost of one query in bytes, exactly: 9 nodes with 1000
+  // uniform rows each, 5 rounds, 1-ms links.  A ranked value travels in
+  // its domain's width (2 bytes for [1, 10000]) behind a 2-byte coding
+  // header, so a k-value token is 18 + 2k bytes and a result 14 + 2k.  An
+  // announce is 140 bytes.  A Sum's masked share stays 8 bytes wide (a
+  // 24-byte token), and its result carries the default coding {0, 8}
+  // (22 bytes).
+  using net::MessageTag;
+  data::UniformDistribution dist;
+  Rng dataRng(2005);
+  const auto dbs =
+      data::fleetFromValues(data::generateValueSets(9, 1000, dist, dataRng));
+  QueryDescriptor sum = topK(3, 1);
+  sum.type = QueryType::Sum;
+  sum.params = protocol::ProtocolParams{};
+  struct Case {
+    QueryDescriptor descriptor;
+    std::map<MessageTag, TypeCost> cost;
+    std::size_t bytes;
+  };
+  const Case cases[] = {
+      {topK(1, 10, 5),
+       {{MessageTag::QueryAnnounce, {9, 1260}},
+        {MessageTag::RoundToken, {45, 45 * 38}},
+        {MessageTag::ResultAnnouncement, {9, 9 * 34}}},
+       3276},
+      {topK(2, 100, 5),
+       {{MessageTag::QueryAnnounce, {9, 1260}},
+        {MessageTag::RoundToken, {45, 45 * 218}},
+        {MessageTag::ResultAnnouncement, {9, 9 * 214}}},
+       12996},
+      {sum,
+       {{MessageTag::QueryAnnounce, {9, 1260}},
+        {MessageTag::SumToken, {9, 9 * 24}},
+        {MessageTag::ResultAnnouncement, {9, 9 * 22}}},
+       1674},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("query " + std::to_string(c.descriptor.queryId));
+    const auto sim = runQuery(dbs, c.descriptor);
+    ASSERT_NE(sim->outcome(c.descriptor.queryId), nullptr);
+    ASSERT_TRUE(sim->outcome(c.descriptor.queryId)->result);
+    EXPECT_EQ(costByType(*sim), c.cost);
+    EXPECT_EQ(totalBytes(*sim), c.bytes);
+  }
+}
+
 TEST(SimulatedRun, DisplacedAnnounceIsRecoveredByRetransmission) {
   // Pinned reorder draws: the initiator's first send, the announce to
   // node 1, is displaced by the window; its second, the round-1 token, is
@@ -392,6 +462,138 @@ TEST(ServiceCore, RetransmitAndRetrySendTheRetainedFrame) {
   EXPECT_EQ(again.sends[0].wire, joined.sends[0].wire);
   EXPECT_EQ(*again.sends[0].wire, *joined.sends[0].wire);
   setLogLevel(savedLevel);
+}
+
+// A ranked frame must arrive in its query's domain coding, with every value
+// inside the domain; anything else is dropped and counted, and the query
+// carries on with the next good frame.
+TEST(ServiceCore, RankedFramesOutsideTheQueryDomainAreDropped) {
+  const LogLevel savedLevel = logLevel();
+  setLogLevel(LogLevel::Error);
+  const auto dbs = data::fleetFromValues({{40, 7}, {30}, {20}, {10}});
+  const QueryDescriptor d = topK(5, 2);
+  const ServiceCore::TimePoint t0{};
+  ServiceCore head(0, dbs[0], 7, ServiceOptions{}, nullptr);
+  const ServiceCore::Effects started =
+      head.initiate(d, identityRing(4), head.scanTable(d), t0);
+  ASSERT_EQ(started.sends.size(), 2u);
+  const net::Message announce = net::decodeMessage(*started.sends[0].wire);
+  const auto token =
+      std::get<net::RoundToken>(net::decodeMessage(*started.sends[1].wire));
+  ASSERT_EQ(token.coding, net::domainCoding(d.params.domain));
+  ASSERT_EQ(started.sends[1].wire->size(), 1 + 8 + 4 + 2 + 1 + 2 * 2 + 2u);
+
+  ServiceCore follower(1, dbs[1], 9, ServiceOptions{}, nullptr);
+  const ServiceCore::Effects joined = follower.onMessage(0, announce, 0, t0);
+  ASSERT_EQ(joined.scans.size(), 1u);
+  (void)follower.onScanned(joined.scans[0],
+                           follower.scanTable(joined.scans[0].descriptor), t0);
+  const auto dropped = [&follower](const net::Message& message) {
+    const std::uint64_t before = follower.metrics().droppedMessages.value();
+    // Through the codec, as a peer's frame would arrive.
+    const ServiceCore::Effects fx = follower.onMessage(
+        0, net::decodeMessage(net::encodeMessage(message)), 0, {});
+    EXPECT_TRUE(fx.sends.empty());
+    EXPECT_TRUE(fx.retired.empty());
+    return follower.metrics().droppedMessages.value() == before + 1;
+  };
+
+  // The same values in the old 8-byte coding, or a wider domain's.
+  net::RoundToken wrongCoding = token;
+  wrongCoding.coding = net::ValueCoding{};
+  EXPECT_TRUE(dropped(wrongCoding));
+  wrongCoding.coding = net::domainCoding(Domain{0, 10000});
+  EXPECT_TRUE(dropped(wrongCoding));
+  // In the right coding but past domain.max: 2 bytes hold up to 65536.
+  net::RoundToken tooBig = token;
+  tooBig.vector.front() = d.params.domain.max + 1;
+  EXPECT_TRUE(dropped(tooBig));
+  EXPECT_EQ(follower.activeQueries(), 1u);
+
+  // A result past domain.max, and one in the wrong coding.
+  net::ResultAnnouncement bigResult{5, {d.params.domain.max + 1, 40}, {},
+                                    token.coding};
+  EXPECT_TRUE(dropped(bigResult));
+  net::ResultAnnouncement wideResult{5, {40, 30}};
+  EXPECT_TRUE(dropped(wideResult));
+  EXPECT_EQ(follower.activeQueries(), 1u);
+
+  // The genuine token still goes through, and so does a good result.
+  const ServiceCore::Effects passed =
+      follower.onMessage(0, net::Message{token}, 0, t0);
+  ASSERT_EQ(passed.sends.size(), 1u);
+  EXPECT_EQ(passed.sends[0].target, 2u);
+  const ServiceCore::Effects done = follower.onMessage(
+      0, net::Message{net::ResultAnnouncement{5, {40, 30}, {}, token.coding}},
+      0, t0);
+  ASSERT_EQ(done.retired.size(), 1u);
+  EXPECT_EQ(done.retired[0].result, (TopKVector{40, 30}));
+  setLogLevel(savedLevel);
+}
+
+TopKVector expectedAnswer(const QueryDescriptor& d,
+                          const std::vector<std::vector<Value>>& values,
+                          const std::vector<std::uint64_t>& seeds);
+
+/// Runs `d` like runQuery and checks that no node dropped a frame and that
+/// every ranked frame travelled in `width`-byte values: a k-value token is
+/// 18 + width * k bytes, a result 14 + width * k.
+std::unique_ptr<ServiceSim> runInWidth(
+    const std::vector<data::PrivateDatabase>& dbs, const QueryDescriptor& d,
+    std::uint64_t seedBase, std::size_t width) {
+  // Every core counts into the one process-wide cell.
+  const obs::Counter& drops = obs::counter("privtopk.query.dropped_messages",
+                                           {{"engine", "service"}});
+  const std::uint64_t dropsBefore = drops.value();
+  auto sim = std::make_unique<ServiceSim>(dbs, seedsFrom(seedBase, dbs.size()));
+  sim->initiate(d, identityRing(dbs.size()));
+  sim->run();
+  EXPECT_EQ(drops.value(), dropsBefore);
+  const std::size_t k = d.effectiveK();
+  std::size_t ranked = 0;
+  for (const ServiceSim::Send& send : sim->sends()) {
+    if (send.tag == net::MessageTag::RoundToken) {
+      EXPECT_EQ(send.bytes, 18 + width * k);
+      ++ranked;
+    } else if (send.tag == net::MessageTag::ResultAnnouncement) {
+      EXPECT_EQ(send.bytes, 14 + width * k);
+      ++ranked;
+    }
+  }
+  EXPECT_GT(ranked, 0u);
+  return sim;
+}
+
+TEST(SimulatedRun, BottomKRoundTripsInTwoByteCoding) {
+  // A bottom-k query runs on mirrored values (min + max - v), which stay
+  // inside the domain, so its frames keep the domain's 2-byte width.
+  const std::vector<std::vector<Value>> values = {
+      {1, 9000}, {2, 10000}, {5000, 3}, {7, 8}};
+  const auto dbs = data::fleetFromValues(values);
+  QueryDescriptor d = topK(11, 3, 8);
+  d.type = QueryType::BottomK;
+  const auto sim = runInWidth(dbs, d, 100, 2);
+  for (NodeId node = 0; node < dbs.size(); ++node) {
+    EXPECT_EQ(sim->core(node).resultOf(11), (TopKVector{1, 2, 3}));
+  }
+}
+
+TEST(SimulatedRun, LdpRoundTripsInTwoByteCoding) {
+  // LDP noise is clamped into the domain; values at both domain ends and a
+  // small epsilon make the clamp bite.  The answer matches the synchronous
+  // runner over the same node seeds, and every frame is 2 bytes a value.
+  const std::vector<std::vector<Value>> values = {
+      {10000, 1}, {1, 2}, {9999, 10000}, {5000, 1}};
+  const auto dbs = data::fleetFromValues(values);
+  QueryDescriptor d = topK(12, 2);
+  d.params.rounds.reset();
+  d.params.mechanism.kind = protocol::MechanismKind::Ldp;
+  d.params.mechanism.ldpEpsilon = 0.01;
+  constexpr std::uint64_t kSeedBase = 100;
+  const auto sim = runInWidth(dbs, d, kSeedBase, 2);
+  const TopKVector answer = resultOf(*sim, 12);
+  ASSERT_EQ(answer.size(), 2u);
+  EXPECT_EQ(answer, expectedAnswer(d, values, seedsFrom(kSeedBase, 4)));
 }
 
 // ---------------------------------------------------------------------------
@@ -802,9 +1004,10 @@ TEST(ServiceSimSweep, DropEachMessageOfAGroupedQuery) {
   const auto& sends = reference.sends();
   ASSERT_GT(sends.size(), 40u);
   std::map<std::pair<NodeId, NodeId>, std::size_t> perLink;
-  for (const auto& link : sends) {
+  for (const auto& send : sends) {
     SweepCase c = base;
-    c.faults.drops.push_back({link.first, link.second, ++perLink[link]});
+    c.faults.drops.push_back(
+        {send.from, send.to, ++perLink[{send.from, send.to}]});
     runCase(c, values);
     if (HasFatalFailure()) return;
   }
